@@ -43,7 +43,6 @@ from .search import (
     SUBSPACE,
     ProblemInstance,
     QuantumState,
-    QueryCounter,
     SearchParams,
     apply_diffusion_phase,
     apply_oracle_phase,
@@ -53,6 +52,7 @@ from .search import (
     measure,
     prepare_uniform,
     run_search_once,
+    search_params,
     success_probability,
 )
 
@@ -66,7 +66,6 @@ __all__ = [
     "ProblemInstance",
     "QuantumSampler",
     "QuantumState",
-    "QueryCounter",
     "SUBSPACE",
     "SearchParams",
     "StepPlan",
@@ -91,6 +90,7 @@ __all__ = [
     "resolve_step_delta",
     "run_search_once",
     "run_trials",
+    "search_params",
     "step_budget",
     "success_probability",
     "total_queries_closed_form",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .driver import step_budget
-from .search import ProblemInstance, derive_search_params
+from .search import search_params
 
 
 @dataclass(frozen=True)
@@ -68,20 +68,14 @@ def total_runs_closed_form(m: int, delta: float) -> float:
     return 1.0 + (-math.log(delta)) * _inverse_log_ratio_sum(m)
 
 
-def total_queries_closed_form(
-    m: int, n_states: int, delta: float
-) -> tuple[float, int]:
+def total_queries_closed_form(m: int, n_states: int, delta: float) -> tuple[float, int]:
     """(real, integerized) total oracle queries to find all m states.
 
     The real value prices the closed-form run total; the integer value prices
     the sum of the ceiled per-step budgets actually used by the planner.
     """
-    params = derive_search_params(
-        ProblemInstance(n_states=n_states, marked=tuple(range(m)), delta=delta)
-    )
-    r_real = total_runs_closed_form(m, delta)
-    r_int = sum(step_budget(m, i, delta) for i in range(1, m + 1))
-    return r_real * params.iterations, r_int * params.iterations
+    report = compare_models(m, n_states, delta)
+    return report.q_real, report.q_integer
 
 
 def f_of_m_curve(
@@ -145,9 +139,7 @@ def duality_queries(m: int, n_states: int) -> float:
 def compare_models(m: int, n_states: int, delta: float) -> ComplexityReport:
     """Assemble every cost figure for one setting, plus the quantum-over-
     deletion query ratio (None when the deletion count is zero)."""
-    params = derive_search_params(
-        ProblemInstance(n_states=n_states, marked=tuple(range(m)), delta=delta)
-    )
+    params = search_params(n_states, m)
     r_real = total_runs_closed_form(m, delta)
     r_int = sum(step_budget(m, i, delta) for i in range(1, m + 1))
     q_real = r_real * params.iterations

@@ -18,7 +18,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 from . import __version__
 from .analytics import compare_models, f_of_delta_curve, f_of_m_curve
@@ -35,6 +35,7 @@ from .driver import (
 from .montecarlo import run_trials
 from .search import (
     FULL,
+    FULL_MAX_N,
     SUBSPACE,
     ProblemInstance,
     derive_search_params,
@@ -262,6 +263,10 @@ def _validate(config: RunConfig, parser: argparse.ArgumentParser) -> None:
             not 0 <= i < config.n_states for i in config.marked
         ):
             parser.error(f"--marked: indices must lie in [0, {config.n_states})")
+        try:
+            resolve_step_delta(config.delta, config.n_marked, config.delta_mode)
+        except ValueError as exc:
+            parser.error(f"--delta: {exc}")
 
     if cmd == "curves":
         if config.preset is None:
@@ -285,13 +290,18 @@ def _validate(config: RunConfig, parser: argparse.ArgumentParser) -> None:
             parser.error(f"--trials must be >= 1, got {config.trials}")
         if config.workers < 1:
             parser.error(f"--workers must be >= 1, got {config.workers}")
+        full = config.sampler == "quantum" and config.representation == FULL
+        if full and config.n_states > FULL_MAX_N:
+            parser.error(f"--n must be <= {FULL_MAX_N} with --representation full, "
+                         f"got {config.n_states} (use --representation subspace)")
 
     if cmd in ("analyze", "simulate") and config.output_format != "json":
         parser.error(f"{cmd}: only json output is supported")
 
     if cmd == "quantum-check":
-        if config.max_n < 4:
-            parser.error(f"--max-n must be >= 4, got {config.max_n}")
+        if not 4 <= config.max_n <= FULL_MAX_N:
+            parser.error(f"--max-n must be in [4, {FULL_MAX_N}] (the full-representation "
+                         f"cap), got {config.max_n}")
 
     if not 0 <= config.master_seed < 2**64:
         parser.error(f"--seed must be a 64-bit unsigned integer, got {config.master_seed}")
@@ -353,19 +363,7 @@ def _emit(config: RunConfig, text: str) -> int:
 
 
 def _report_row(report) -> dict:
-    return {
-        "m": report.m,
-        "N": report.n_states,
-        "delta": report.delta,
-        "r_real": report.r_real,
-        "r_integer": report.r_integer,
-        "queries_per_run": report.queries_per_run,
-        "q_real": report.q_real,
-        "q_integer": report.q_integer,
-        "q_duality": report.q_duality,
-        "quantum_to_duality_ratio": report.quantum_to_duality_ratio,
-        "duality_log_base": report.duality_log_base,
-    }
+    return {("N" if k == "n_states" else k): v for k, v in asdict(report).items()}
 
 
 def _json_text(payload: dict) -> str:
@@ -442,21 +440,9 @@ def _cmd_compare(config: RunConfig) -> int:
     columns = ["m", "N", "delta", "r_real", "r_int", "q_real", "q_int", "q_duality"]
     lines = [_comment_line(config), ",".join(columns)]
     for r in reports:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.m,
-                    r.n_states,
-                    r.delta,
-                    r.r_real,
-                    r.r_integer,
-                    r.q_real,
-                    r.q_integer,
-                    r.q_duality,
-                )
-            )
-        )
+        row = (r.m, r.n_states, r.delta, r.r_real, r.r_integer, r.q_real, r.q_integer,
+               r.q_duality)
+        lines.append(",".join(_fmt(v) for v in row))
     return _emit(config, "\n".join(lines) + "\n")
 
 

@@ -24,6 +24,7 @@ from .search import (
     ProblemInstance,
     SearchParams,
     final_state,
+    full_cdf,
     measure,
     require_matching_params,
 )
@@ -78,7 +79,7 @@ def step_budget(m: int, i: int, delta: float) -> int:
     if i == 1:
         return 1
     p = (i - 1) / m
-    r = math.ceil(math.log(1.0 / delta) / (math.log(m) - math.log(i - 1)))
+    r = math.ceil(-math.log(delta) / (math.log(m) - math.log(i - 1)))
     r = max(r, 1)
     while p**r > delta:
         r += 1
@@ -105,7 +106,8 @@ def resolve_step_delta(delta: float, m: int, mode: str = PER_STEP) -> float:
     """Per-step failure tolerance for planning.
 
     ``overall`` treats delta as a joint success target across steps 2..m and
-    converts it to the per-step tolerance 1 - (1-delta)^(1/(m-1)).
+    converts it to the per-step tolerance 1 - (1-delta)^(1/(m-1)), evaluated
+    as -expm1(log1p(-delta)/(m-1)) so small tolerances keep full precision.
     """
     if mode not in (PER_STEP, OVERALL):
         raise ValueError(f"unknown delta mode: {mode!r}")
@@ -113,7 +115,10 @@ def resolve_step_delta(delta: float, m: int, mode: str = PER_STEP) -> float:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     if mode == PER_STEP or m <= 1:
         return delta
-    return 1.0 - (1.0 - delta) ** (1.0 / (m - 1))
+    step = -math.expm1(math.log1p(-delta) / (m - 1))
+    if step == 0.0:
+        raise ValueError(f"overall delta {delta!r} over {m - 1} steps underflows to 0")
+    return step
 
 
 class IdealSampler:
@@ -131,24 +136,20 @@ class IdealSampler:
 class QuantumSampler:
     """Measurement draws from the simulated final state of one exact run.
 
-    The run's evolution is deterministic, so the final state is built once;
-    each draw is a fresh measurement of it, exactly as a per-draw simulation
-    would produce.
+    The run's evolution is deterministic, so the final state (and, for FULL,
+    its CDF) is built once; each draw is a fresh measurement of it, exactly
+    as a per-draw simulation would produce.
     """
 
-    def __init__(
-        self,
-        problem: ProblemInstance,
-        params: SearchParams,
-        representation: str = FULL,
-    ):
+    def __init__(self, problem: ProblemInstance, params: SearchParams, representation: str = FULL):
         require_matching_params(problem, params)
         self.problem = problem
         self.queries_per_draw = params.iterations
         self._final = final_state(problem, params, representation)
+        self._cdf = full_cdf(self._final) if representation == FULL else None
 
     def draw(self, rng: np.random.Generator) -> int:
-        return measure(self._final, self.problem, rng)
+        return measure(self._final, self.problem, rng, self._cdf)
 
 
 def execute_trial(
@@ -168,53 +169,32 @@ def execute_trial(
     m = len(marked)
     cost = sampler.queries_per_draw
     found: list[int] = []
+    seen: set[int] = set()
     runs = 0
+    failed_at = None
 
     if isinstance(strategy, Budgeted):
         plan = strategy.plan
         if len(plan.budgets) != m or plan.queries_per_run != cost:
             raise ValueError("plan does not match this problem/sampler")
-        seen: set[int] = set()
         for step, budget in enumerate(plan.budgets, start=1):
-            advanced = False
             for _ in range(budget):
                 runs += 1
                 outcome = sampler.draw(rng)
                 if outcome in marked and outcome not in seen:
                     seen.add(outcome)
                     found.append(outcome)
-                    advanced = True
                     break
-            if not advanced:
-                return TrialOutcome(
-                    found_order=tuple(found),
-                    runs_used=runs,
-                    queries_used=runs * cost,
-                    success=False,
-                    failed_at_step=step,
-                )
-        return TrialOutcome(
-            found_order=tuple(found),
-            runs_used=runs,
-            queries_used=runs * cost,
-            success=True,
-            failed_at_step=None,
-        )
-
-    if isinstance(strategy, Unbounded):
-        seen = set()
+            else:  # the step's budget ran out without a new state
+                failed_at = step
+                break
+    elif isinstance(strategy, Unbounded):
         while len(seen) < m:
             runs += 1
             outcome = sampler.draw(rng)
             if outcome in marked and outcome not in seen:
                 seen.add(outcome)
                 found.append(outcome)
-        return TrialOutcome(
-            found_order=tuple(found),
-            runs_used=runs,
-            queries_used=runs * cost,
-            success=True,
-            failed_at_step=None,
-        )
-
-    raise ValueError(f"unknown strategy: {strategy!r}")
+    else:
+        raise ValueError(f"unknown strategy: {strategy!r}")
+    return TrialOutcome(tuple(found), runs, runs * cost, failed_at is None, failed_at)

@@ -5,10 +5,12 @@ One run prepares the uniform superposition, applies ``iterations`` rounds of
 The matched angle is chosen so the final state lands on the marked subspace
 exactly, so a single run returns a marked state with certainty.
 
-Two register representations are supported: a full statevector of length N,
-and a 2-amplitude form on the invariant subspace spanned by the uniform
-superpositions of the marked and unmarked states. They evolve identically
-under the operators here; the subspace form is the O(1)-memory fast path.
+Two register representations are supported. SUBSPACE keeps the 2 amplitudes
+on the invariant span of the uniform marked and unmarked superpositions and
+evaluates the k-th power of the 2x2 round operator in closed form: O(1) time
+and memory for any N, unit norm to rounding error. FULL keeps a length-N
+statevector and applies every round in place; it is the independent
+cross-check, capped at ``FULL_MAX_N`` amplitudes.
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ REPRESENTATIONS = (FULL, SUBSPACE)
 
 # tolerated drift of the squared-magnitude sum after operator applications
 NORM_TOL = 1e-12
+
+# Largest N the FULL representation will allocate: 2^22 amplitudes are a
+# 64 MiB statevector, plus a 32 MiB CDF when it is sampled.
+FULL_MAX_N = 2**22
 
 
 @dataclass(frozen=True)
@@ -103,23 +109,15 @@ class QuantumState:
             raise ValueError(f"state is not normalized: sum |a|^2 = {norm!r}")
 
 
-class QueryCounter:
-    """Counts oracle applications; one oracle call is one query."""
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def increment(self) -> None:
-        self.count += 1
-
-
-def derive_search_params(problem: ProblemInstance) -> SearchParams:
-    """Pick the iteration count and matched phase for one exact run.
+def search_params(n: int, m: int) -> SearchParams:
+    """Pick the iteration count and matched phase for one exact run with m
+    of N states marked.
 
     The all-marked problem is degenerate: measuring the uniform state already
     returns a marked index, so no iterations (and no queries) are needed.
     """
-    n, m = problem.n_states, problem.n_marked
+    if not 1 <= m <= n:
+        raise ValueError(f"need 1 <= m <= N, got m={m}, N={n}")
     beta = math.asin(math.sqrt(m / n))
     if m == n:
         return SearchParams(beta=beta, j=0, iterations=0, phi=0.0)
@@ -128,10 +126,16 @@ def derive_search_params(problem: ProblemInstance) -> SearchParams:
     return SearchParams(beta=beta, j=j, iterations=j + 1, phi=phi)
 
 
+def derive_search_params(problem: ProblemInstance) -> SearchParams:
+    return search_params(problem.n_states, problem.n_marked)
+
+
 def prepare_uniform(problem: ProblemInstance, representation: str = FULL) -> QuantumState:
     """Uniform superposition over all N basis states."""
     n, m = problem.n_states, problem.n_marked
     if representation == FULL:
+        if n > FULL_MAX_N:
+            raise ValueError(f"full representation is capped at N <= {FULL_MAX_N}, got {n}")
         amps = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
     elif representation == SUBSPACE:
         amps = np.array(
@@ -143,10 +147,7 @@ def prepare_uniform(problem: ProblemInstance, representation: str = FULL) -> Qua
 
 
 def apply_oracle_phase(
-    state: QuantumState,
-    problem: ProblemInstance,
-    phi: float,
-    counter: QueryCounter | None = None,
+    state: QuantumState, problem: ProblemInstance, phi: float
 ) -> QuantumState:
     """One oracle query: rotate every marked amplitude by e^{i phi}."""
     _check_shape(state, problem)
@@ -156,8 +157,6 @@ def apply_oracle_phase(
         amps[np.fromiter(problem.marked, dtype=np.intp)] *= phase
     else:
         amps[0] *= phase
-    if counter is not None:
-        counter.increment()
     return QuantumState(state.representation, amps)
 
 
@@ -185,32 +184,76 @@ def apply_diffusion_phase(
 
 
 def final_state(
-    problem: ProblemInstance,
-    params: SearchParams,
-    representation: str = FULL,
-    counter: QueryCounter | None = None,
+    problem: ProblemInstance, params: SearchParams, representation: str = FULL
 ) -> QuantumState:
-    """State after one full run's iterations, just before measurement."""
+    """State after one full run's iterations, just before measurement. The
+    unit norm is checked once, on the result."""
     state = prepare_uniform(problem, representation)
-    for _ in range(params.iterations):
-        state = apply_oracle_phase(state, problem, params.phi, counter)
-        state = apply_diffusion_phase(state, problem, params.phi)
-    return state
+    k, phi = params.iterations, params.phi
+    if k == 0:
+        return state
+    if representation == SUBSPACE:
+        return QuantumState(SUBSPACE, _subspace_power(problem, phi, k))
+    amps = np.array(state.amplitudes)
+    marked = np.fromiter(problem.marked, dtype=np.intp)
+    phase = complex(math.cos(phi), math.sin(phi))
+    c = 1.0 - phase
+    # the arithmetic of apply_oracle_phase then apply_diffusion_phase, so the
+    # result is bit-identical to applying those operators round by round
+    for _ in range(k):
+        amps[marked] *= phase
+        amps -= c * amps.mean()
+    return QuantumState(FULL, amps)
+
+
+def _subspace_power(problem: ProblemInstance, phi: float, k: int) -> np.ndarray:
+    """(marked, unmarked) amplitudes after k rounds from the uniform state.
+
+    On the invariant subspace one round is e^{i phi} S with S in SU(2), as
+    in Long's phase-matching analysis (PRA 64, 022307, 2001):
+
+        S = [[cos t + i s^2 sin phi,         2i s c sin(phi/2) e^{-i phi/2}],
+             [2i s c sin(phi/2) e^{i phi/2},  cos t - i s^2 sin phi       ]]
+
+    where s = sin(beta), c = cos(beta) and sin(t/2) = s sin(phi/2), which is
+    sin(pi/(4j+6)) for the matched phase. Hence S^k = cos(kt) I +
+    sin(kt)/sin(t) (S - cos(t) I). Built from these analytic entries the
+    result is unit-norm to rounding error for any k, where a product of k
+    float rounds drifts by about k machine epsilons.
+    """
+    n, m = problem.n_states, problem.n_marked
+    s, c = math.sqrt(m / n), math.sqrt((n - m) / n)
+    half = math.sin(phi / 2)
+    t = 2.0 * math.asin(s * half)
+    diag = 1j * s * s * math.sin(phi)
+    off = 2j * s * c * half
+    rot = complex(math.cos(phi / 2), math.sin(phi / 2))
+    r = math.sin(k * t) / math.sin(t)
+    a = math.cos(k * t) * s + r * (diag * s + off * rot.conjugate() * c)
+    b = math.cos(k * t) * c + r * (off * rot * s - diag * c)
+    return complex(math.cos(k * phi), math.sin(k * phi)) * np.array([a, b])
+
+
+def full_cdf(state: QuantumState) -> np.ndarray:
+    """Cumulative squared magnitudes of a FULL state, as ``measure`` reads
+    them."""
+    return np.cumsum(np.abs(state.amplitudes) ** 2)
 
 
 def measure(
-    state: QuantumState, problem: ProblemInstance, rng: np.random.Generator
+    state: QuantumState, problem: ProblemInstance, rng: np.random.Generator,
+    cdf: np.ndarray | None = None,
 ) -> int:
     """Sample one basis index from the squared-magnitude distribution.
 
     Inverse-CDF with a single uniform variate per draw, so a stream's
-    position depends only on how many draws it has served.
+    position depends only on how many draws it has served. A caller that
+    measures one FULL state many times passes its ``full_cdf`` once built.
     """
     _check_shape(state, problem)
     u = float(rng.random())
     if state.representation == FULL:
-        probs = np.abs(state.amplitudes) ** 2
-        cdf = np.cumsum(probs)
+        cdf = full_cdf(state) if cdf is None else cdf
         idx = int(np.searchsorted(cdf, u * float(cdf[-1]), side="right"))
         return min(idx, problem.n_states - 1)
     # Subspace draw: pick the marked/unmarked class first, then the member.
@@ -238,9 +281,8 @@ def run_search_once(
     ``params.iterations``: one oracle call per round.
     """
     require_matching_params(problem, params)
-    counter = QueryCounter()
-    state = final_state(problem, params, representation, counter)
-    return measure(state, problem, rng), counter.count
+    state = final_state(problem, params, representation)
+    return measure(state, problem, rng), params.iterations
 
 
 def success_probability(

@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from recallsearch.cli import parse_config, run_command
+from recallsearch.search import FULL_MAX_N
 
 
 def run_cli(argv):
@@ -107,6 +109,23 @@ class TestAnalyze:
         assert overall["delta"] < per_step["delta"]
         assert overall["r_integer"] >= per_step["r_integer"]
 
+    def test_tiny_overall_delta_keeps_precision(self, capsys):
+        assert run_cli(["analyze", "--n", "1048576", "--m", "1000", "--delta", "1e-17",
+                        "--delta-mode", "overall"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["delta"] == pytest.approx(1e-17 / 999, rel=1e-14)
+
+    def test_subnormal_delta_is_planned(self, capsys):
+        assert run_cli(["analyze", "--n", "1024", "--m", "2", "--delta", "1e-310"]) == 0
+        assert json.loads(capsys.readouterr().out)["r_integer"] == 1 + 1030
+
+    def test_overall_delta_underflow_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["analyze", "--n", "2000000", "--m", "1000000",
+                          "--delta", "1e-320", "--delta-mode", "overall"])
+        assert exc.value.code == 2
+        assert "--delta" in capsys.readouterr().err
+
 
 class TestCurves:
     def test_fig2_shape(self, tmp_path):
@@ -192,6 +211,44 @@ class TestSimulate:
         assert payload["mean_runs"] >= 4.0
 
 
+    # sha256 of stdout, recorded before SUBSPACE evolution went closed-form,
+    # FULL evolution in place and the quantum sampler's CDF was cached
+    GOLDEN = [
+        (["--n", "16384", "--m", "8", "--trials", "200", "--seed", "7",
+          "--representation", "full"],
+         "690e6043a1faa65ec7bdcd5c605492495d4cb1abe69c616e46a39178fa1465ab"),
+        (["--n", "16384", "--m", "8", "--trials", "200", "--seed", "7",
+          "--representation", "subspace"],
+         "c94a7d3771dd80a1fa94351cf096d45cd3300033d5b6237a564c42a939bcbde2"),
+        (["--n", "4096", "--m", "50", "--strategy", "unbounded", "--trials", "50",
+          "--representation", "subspace", "--seed", "3"],
+         "c0ce540dbf609e426f82ea38ee3239087f7ab7a1a0f9ee28cb584a5a9a0956e5"),
+    ]
+
+    @pytest.mark.parametrize("args,digest", GOLDEN, ids=["full", "subspace", "unbounded"])
+    def test_quantum_output_matches_golden_hash(self, args, digest, capsys):
+        argv = ["simulate", "--sampler", "quantum", "--delta", "0.05"] + args
+        assert run_cli(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_subspace_beyond_2_27(self, capsys):
+        # ~8k rounds: a round-by-round product drifts past the norm check here
+        assert run_cli(["simulate", "--n", "134217728", "--m", "1", "--sampler", "quantum",
+                        "--representation", "subspace", "--delta", "0.05",
+                        "--trials", "10"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["overall_success_rate"] == 1.0
+
+    def test_full_above_cap_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["simulate", "--n", str(FULL_MAX_N + 1), "--m", "1",
+                          "--sampler", "quantum", "--representation", "full",
+                          "--delta", "0.05"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--n" in err and "--representation" in err
+
+
 class TestCompare:
     def test_csv_schema_and_values(self, tmp_path):
         out = tmp_path / "cmp.csv"
@@ -232,6 +289,12 @@ class TestQuantumCheck:
         with pytest.raises(SystemExit) as exc:
             parse_config(["quantum-check", "--max-n", "2"])
         assert exc.value.code == 2
+
+    def test_max_n_above_full_cap_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["quantum-check", "--max-n", str(2 * FULL_MAX_N)])
+        assert exc.value.code == 2
+        assert "--max-n" in capsys.readouterr().err
 
     def test_deviation_beyond_threshold_exits_3(self, monkeypatch, capsys):
         import recallsearch.cli as cli

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,15 @@ from recallsearch.driver import (
     step_budget,
 )
 from recallsearch.montecarlo import trial_stream
-from recallsearch.search import ProblemInstance, derive_search_params
+from recallsearch.search import (
+    FULL,
+    ProblemInstance,
+    derive_search_params,
+    final_state,
+    full_cdf,
+    measure,
+    prepare_uniform,
+)
 
 
 def brute_force_budget(m, i, delta):
@@ -50,6 +59,11 @@ class TestStepBudget:
     def test_exact_power_boundary(self):
         # (1/2)^2 equals 0.25 exactly; the bound is <=, so r = 2
         assert step_budget(4, 3, 0.25) == 2
+
+    def test_subnormal_delta(self):
+        # 1/delta overflows to inf below ~5.6e-309; the budget must not
+        for m, i, delta in [(2, 2, 1e-310), (1000, 500, 5e-324), (10**9, 2, 1e-309)]:
+            assert step_budget(m, i, delta) == brute_force_budget(m, i, delta)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -137,6 +151,20 @@ class TestResolveStepDelta:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
             resolve_step_delta(0.1, 5, "joint")
+
+    def test_overall_matches_50_digit_reference(self):
+        mpmath.mp.dps = 50
+        for m in (2, 3, 10, 1000, 10**6, 10**8):
+            for delta in (0.5, 0.05, 1e-6, 1e-12, 1e-17, 1e-100, 1e-300):
+                got = resolve_step_delta(delta, m, OVERALL)
+                d = mpmath.mpf(delta)
+                exact = -mpmath.expm1(mpmath.log1p(-d) / (m - 1))
+                # 1e-300 / 1e8 is subnormal, which keeps ~2^-51 relative precision
+                assert abs(got - exact) <= 1e-14 * exact, (m, delta)
+
+    def test_overall_underflow_is_an_error(self):
+        with pytest.raises(ValueError, match="underflows"):
+            resolve_step_delta(1e-320, 10**6, OVERALL)
 
 
 class TestExecuteTrial:
@@ -241,6 +269,23 @@ class TestSamplers:
         sampler = QuantumSampler(prob, derive_search_params(prob))
         rng = trial_stream(2, 0)
         assert all(sampler.draw(rng) in prob.marked for _ in range(300))
+
+    def test_cached_cdf_draws_equal_measure_draws(self):
+        prob = ProblemInstance(n_states=2**10, marked=(3, 500, 1023), delta=0.1)
+        params = derive_search_params(prob)
+        sampler = QuantumSampler(prob, params, FULL)
+        state = final_state(prob, params, FULL)
+        rng_a, rng_b = trial_stream(5, 1), trial_stream(5, 1)
+        draws = [sampler.draw(rng_a) for _ in range(500)]
+        assert draws == [measure(state, prob, rng_b) for _ in range(500)]
+        assert set(draws) <= set(prob.marked)
+        # a spread-out state, where a wrong CDF index would show
+        uniform = prepare_uniform(prob, FULL)
+        cdf = full_cdf(uniform)
+        rng_a, rng_b = trial_stream(6, 2), trial_stream(6, 2)
+        cached = [measure(uniform, prob, rng_a, cdf) for _ in range(500)]
+        assert cached == [measure(uniform, prob, rng_b) for _ in range(500)]
+        assert len(set(cached)) > 300
 
     def test_samplers_price_draws_identically(self):
         prob = problem(256, 4)

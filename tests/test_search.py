@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from recallsearch.search import (
     FULL,
+    FULL_MAX_N,
+    NORM_TOL,
     SUBSPACE,
     ProblemInstance,
     QuantumState,
-    QueryCounter,
     apply_diffusion_phase,
     apply_oracle_phase,
     derive_search_params,
@@ -19,6 +20,7 @@ from recallsearch.search import (
     measure,
     prepare_uniform,
     run_search_once,
+    search_params,
     success_probability,
 )
 from recallsearch.montecarlo import trial_stream
@@ -81,6 +83,12 @@ class TestDeriveParams:
                 ) + 1e-15
                 assert 0.0 < params.phi <= math.pi
 
+    def test_search_params_from_counts(self):
+        for n, m in [(4, 1), (1024, 4), (1000, 3), (6, 6)]:
+            assert search_params(n, m) == derive_search_params(problem(n, m))
+        with pytest.raises(ValueError, match="1 <= m <= N"):
+            search_params(4, 5)
+
 
 class TestPrepareUniform:
     def test_full_n4(self):
@@ -115,14 +123,6 @@ class TestOperators:
         expected = np.array(state.amplitudes)
         expected[[2, 5]] *= -1
         assert np.allclose(after.amplitudes, expected, atol=1e-12)
-
-    def test_oracle_counts_one_query(self):
-        prob = problem(8, 2)
-        counter = QueryCounter()
-        state = prepare_uniform(prob, SUBSPACE)
-        apply_oracle_phase(state, prob, 1.0, counter)
-        apply_oracle_phase(state, prob, 1.0, counter)
-        assert counter.count == 2
 
     def test_diffusion_phi_pi_is_inversion_about_mean(self):
         prob = problem(8, 2)
@@ -195,6 +195,15 @@ class TestRunOnce:
             _, queries = run_search_once(prob, params, trial_stream(1, 0), SUBSPACE)
             assert queries == params.iterations
 
+    def test_reports_one_query_per_round(self):
+        # one oracle call per round: the query count is the iteration count
+        for rep in (FULL, SUBSPACE):
+            for n, m in [(8, 2), (64, 1), (100, 7), (32, 32)]:
+                prob = problem(n, m)
+                params = derive_search_params(prob)
+                _, queries = run_search_once(prob, params, trial_stream(4, n), rep)
+                assert queries == params.iterations
+
 
 class TestSuccessProbability:
     def test_all_marked(self):
@@ -220,6 +229,52 @@ class TestSuccessProbability:
                 assert success_probability(prob, params, rep) == pytest.approx(
                     1.0, abs=1e-9
                 )
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(min_value=2, max_value=62), data=st.data())
+    def test_subspace_exact_up_to_2_62(self, k, data):
+        n = 2**k
+        m = data.draw(st.integers(min_value=1, max_value=min(n, 64)))
+        prob = problem(n, m)
+        params = derive_search_params(prob)
+        # QuantumState construction rejects a norm drift above NORM_TOL
+        state = final_state(prob, params, SUBSPACE)
+        assert abs(float(np.sum(np.abs(state.amplitudes) ** 2)) - 1.0) <= NORM_TOL
+        assert abs(1.0 - marked_mass(state, prob)) <= 1e-9
+
+    def test_full_rounds_agree_with_closed_form_subspace(self):
+        worst = 0.0
+        for k in range(2, 17):
+            n = 2**k
+            for m in sorted({1, 2, 3, n // 4, n // 2, n}):
+                prob = problem(n, m)
+                params = derive_search_params(prob)
+                full = final_state(prob, params, FULL)
+                sub = final_state(prob, params, SUBSPACE).amplitudes
+                if m == n:
+                    a, b = full.amplitudes.sum() / math.sqrt(n), 0.0
+                else:
+                    a, b = project_to_subspace(full, prob)
+                worst = max(worst, abs(a - sub[0]), abs(b - sub[1]))
+        assert worst <= 1e-12
+
+    def test_closed_form_matches_per_round_operators(self):
+        for n, m in [(4, 1), (64, 3), (1000, 7), (2**14, 8), (2**20, 1)]:
+            prob = problem(n, m)
+            params = derive_search_params(prob)
+            state = prepare_uniform(prob, SUBSPACE)
+            for _ in range(params.iterations):
+                state = apply_oracle_phase(state, prob, params.phi)
+                state = apply_diffusion_phase(state, prob, params.phi)
+            closed = final_state(prob, params, SUBSPACE).amplitudes
+            assert np.abs(closed - state.amplitudes).max() <= 1e-12
+
+    def test_full_is_capped(self):
+        prob = ProblemInstance(n_states=FULL_MAX_N + 1, marked=(0,), delta=0.1)
+        with pytest.raises(ValueError, match="capped"):
+            prepare_uniform(prob, FULL)
+        # the cap guards FULL only: the subspace form has no N limit
+        assert prepare_uniform(prob, SUBSPACE).amplitudes.shape == (2,)
 
     def test_standard_grover_anchor(self):
         # phi = pi, N = 4, m = 1: one plain Grover iteration is already exact
