@@ -1,12 +1,15 @@
 """Command-line surface: analysis reports, figure tables, simulations, and
 the exactness check, with bit-stable CSV/JSON emission.
 
-Values resolve in precedence order: command-line flag, then config file
-(flat key=value lines, '#' comments), then built-in default. Every emitted
-file is self-describing: CSV starts with a comment line and JSON carries a
-"meta" object, both recording the tool version, the resolved config, and
-the seed. Identical configs and seeds produce byte-identical output at any
-worker count.
+Every option is declared once, in `_OPTIONS`, and the parser is built from
+that table at import. Values resolve in precedence order: command-line flag,
+then config file (flat key=value lines, '#' comments, each key a flag name
+without "--", cast and bounds-checked exactly like the flag), then
+$RECALL_SEED for the seed, then built-in default. Every emitted file is
+self-describing: CSV starts with a comment line and JSON carries a "meta"
+object, both recording the tool version, the resolved config, and the seed.
+Identical configs and seeds produce byte-identical output at any worker
+count.
 
 Exit codes: 0 success, 1 runtime failure, 2 bad flag/config value, 3
 exactness-check failure.
@@ -18,7 +21,10 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields
+from functools import partial
+from typing import NamedTuple
 
 from . import __version__
 from .analytics import compare_models, f_of_delta_curve, f_of_m_curve
@@ -90,221 +96,6 @@ class RunConfig:
     points: int | None = None
     m_range: tuple[int, int] | None = None
     max_n: int = 4096
-
-
-def _parse_marked(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip() != "")
-
-
-def _parse_m_range(text: str) -> tuple[int, int]:
-    lo, sep, hi = text.partition(":")
-    if not sep:
-        raise ValueError("expected LOW:HIGH")
-    return int(lo), int(hi)
-
-
-# config-file key -> (attribute on RunConfig, caster)
-_CONFIG_KEYS = {
-    "n": ("n_states", int),
-    "m": ("n_marked", int),
-    "marked": ("marked", _parse_marked),
-    "delta": ("delta", float),
-    "trials": ("trials", int),
-    "seed": ("master_seed", int),
-    "out": ("output_path", str),
-    "format": ("output_format", str),
-    "strategy": ("strategy", str),
-    "sampler": ("sampler", str),
-    "representation": ("representation", str),
-    "delta-mode": ("delta_mode", str),
-    "workers": ("workers", int),
-    "preset": ("preset", str),
-    "stride": ("stride", int),
-    "points": ("points", int),
-    "m-range": ("m_range", _parse_m_range),
-    "max-n": ("max_n", int),
-}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="recallsearch",
-        description="Exact-search simulator and query-cost analytics for "
-        "finding every marked state in an unsorted search space.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--seed", type=int, help=f"master seed (default: ${SEED_ENV_VAR} or 0)")
-        p.add_argument("--format", choices=["csv", "json"], help="output format")
-
-    def problem_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--n", type=int, help="number of database states N")
-        p.add_argument("--m", type=int, help="number of marked states")
-        p.add_argument("--marked", type=_parse_marked,
-                       help="explicit marked indices, comma-separated (overrides --m)")
-        p.add_argument("--delta", type=float, help="failure tolerance in (0, 1)")
-        p.add_argument("--delta-mode", choices=[PER_STEP, OVERALL],
-                       help="interpret --delta per step (default) or as an overall target")
-
-    p = sub.add_parser("analyze", help="closed-form cost report for one setting")
-    common(p)
-    problem_flags(p)
-
-    p = sub.add_parser("curves", help="emit a figure table as CSV")
-    common(p)
-    p.add_argument("--preset", choices=sorted(_CURVE_PRESETS),
-                   help="built-in figure preset")
-    p.add_argument("--stride", type=int, help="m stride for f(m) presets")
-    p.add_argument("--points", type=int, help="point count for f(delta) presets")
-
-    p = sub.add_parser("simulate", help="Monte Carlo trial batch")
-    common(p)
-    problem_flags(p)
-    p.add_argument("--trials", type=int, help="number of trials (default: 1000)")
-    p.add_argument("--strategy", choices=["budgeted", "unbounded"])
-    p.add_argument("--sampler", choices=["ideal", "quantum"])
-    p.add_argument("--representation", choices=[FULL, SUBSPACE],
-                   help="state representation for the quantum sampler")
-    p.add_argument("--workers", type=int, help="worker threads (default: 1)")
-
-    p = sub.add_parser("quantum-check", help="exactness sweep over a power-of-two grid")
-    common(p)
-    p.add_argument("--max-n", type=int, help="largest N (power of two, default: 4096)")
-
-    p = sub.add_parser("compare", help="quantum vs deletion-model query table")
-    common(p)
-    problem_flags(p)
-    p.add_argument("--m-range", type=_parse_m_range, help="row range LOW:HIGH for m")
-
-    return parser
-
-
-def _load_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except OSError as exc:
-        parser.error(f"--config: cannot read {path}: {exc}")
-    values = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not sep or not key:
-            parser.error(f"--config {path}:{lineno}: expected key=value, got {raw!r}")
-        if key not in _CONFIG_KEYS:
-            parser.error(f"--config {path}:{lineno}: unknown key {key!r}")
-        values[key] = value
-    return values
-
-
-def parse_config(argv: list[str] | None = None) -> RunConfig:
-    """Resolve argv (+ optional config file) into a validated RunConfig."""
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    file_values = _load_config_file(ns.config, parser) if ns.config else {}
-
-    config = RunConfig(command=ns.command)
-    for key, (attr, cast) in _CONFIG_KEYS.items():
-        value = getattr(ns, key.replace("-", "_"), None)
-        if value is None and key in file_values:
-            try:
-                value = cast(file_values[key])
-            except ValueError as exc:
-                parser.error(f"--config key '{key}': {exc}")
-        if value is not None:
-            setattr(config, attr, value)
-
-    if ns.seed is None and "seed" not in file_values:
-        env_seed = os.environ.get(SEED_ENV_VAR)
-        if env_seed is not None:
-            try:
-                config.master_seed = int(env_seed)
-            except ValueError:
-                parser.error(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}")
-
-    if ns.format is None and "format" not in file_values:
-        config.output_format = "csv" if ns.command in ("curves", "compare") else "json"
-
-    _validate(config, parser)
-    return config
-
-
-def _validate(config: RunConfig, parser: argparse.ArgumentParser) -> None:
-    cmd = config.command
-    if config.marked is not None:
-        if len(set(config.marked)) != len(config.marked):
-            parser.error("--marked: indices must be distinct")
-        config.n_marked = len(config.marked)
-
-    if cmd in ("analyze", "simulate", "compare"):
-        if config.n_states is None:
-            parser.error(f"{cmd}: --n is required")
-        if config.n_states < 1:
-            parser.error(f"--n must be >= 1, got {config.n_states}")
-        if config.delta is None:
-            parser.error(f"{cmd}: --delta is required")
-        if not 0.0 < config.delta < 1.0:
-            parser.error(f"--delta must be in (0, 1), got {config.delta}")
-
-    if cmd in ("analyze", "simulate"):
-        if config.n_marked is None:
-            parser.error(f"{cmd}: --m or --marked is required")
-        if not 1 <= config.n_marked <= config.n_states:
-            parser.error(
-                f"--m must satisfy 1 <= m <= N, got m={config.n_marked}, N={config.n_states}"
-            )
-        if config.marked is not None and any(
-            not 0 <= i < config.n_states for i in config.marked
-        ):
-            parser.error(f"--marked: indices must lie in [0, {config.n_states})")
-        try:
-            resolve_step_delta(config.delta, config.n_marked, config.delta_mode)
-        except ValueError as exc:
-            parser.error(f"--delta: {exc}")
-
-    if cmd == "curves":
-        if config.preset is None:
-            parser.error("curves: --preset is required")
-        if config.stride is not None and config.stride < 1:
-            parser.error(f"--stride must be >= 1, got {config.stride}")
-        if config.points is not None and config.points < 2:
-            parser.error(f"--points must be >= 2, got {config.points}")
-
-    if cmd == "compare":
-        if config.m_range is None:
-            if config.n_marked is None:
-                parser.error("compare: --m-range (or --m) is required")
-            config.m_range = (config.n_marked, config.n_marked)
-        lo, hi = config.m_range
-        if not 1 <= lo <= hi <= config.n_states:
-            parser.error(f"--m-range must satisfy 1 <= LOW <= HIGH <= N, got {lo}:{hi}")
-
-    if cmd == "simulate":
-        if config.trials < 1:
-            parser.error(f"--trials must be >= 1, got {config.trials}")
-        if config.workers < 1:
-            parser.error(f"--workers must be >= 1, got {config.workers}")
-        full = config.sampler == "quantum" and config.representation == FULL
-        if full and config.n_states > FULL_MAX_N:
-            parser.error(f"--n must be <= {FULL_MAX_N} with --representation full, "
-                         f"got {config.n_states} (use --representation subspace)")
-
-    if cmd in ("analyze", "simulate") and config.output_format != "json":
-        parser.error(f"{cmd}: only json output is supported")
-
-    if cmd == "quantum-check":
-        if not 4 <= config.max_n <= FULL_MAX_N:
-            parser.error(f"--max-n must be in [4, {FULL_MAX_N}] (the full-representation "
-                         f"cap), got {config.max_n}")
-
-    if not 0 <= config.master_seed < 2**64:
-        parser.error(f"--seed must be a 64-bit unsigned integer, got {config.master_seed}")
 
 
 # Execution context, not experiment identity: results do not depend on these,
@@ -462,27 +253,227 @@ def _cmd_quantum_check(config: RunConfig) -> int:
         worst = max(worst, n_worst)
         lines.append(f"N={n}: worst |1 - p_success| = {n_worst:.3e}")
         n *= 2
-    status = "ok" if worst <= EXACTNESS_THRESHOLD else "FAIL"
+    passed = worst <= EXACTNESS_THRESHOLD
     lines.append(
         f"max deviation over grid: {worst:.3e} "
-        f"(threshold {EXACTNESS_THRESHOLD:.1e}) {status}"
+        f"(threshold {EXACTNESS_THRESHOLD:.1e}) {'ok' if passed else 'FAIL'}"
     )
-    code = _emit(config, "\n".join(lines) + "\n")
-    if code != 0:
-        return code
-    return 0 if worst <= EXACTNESS_THRESHOLD else 3
+    return _emit(config, "\n".join(lines) + "\n") or (0 if passed else 3)
+
+
+def _parse_marked(text: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in text.split(",") if part.strip() != "")
+
+
+def _parse_m_range(text: str) -> tuple[int, int]:
+    lo, sep, hi = text.partition(":")
+    if not sep:
+        raise ValueError("expected LOW:HIGH")
+    return int(lo), int(hi)
+
+
+class _Option(NamedTuple):
+    attr: str  # RunConfig field, also the argparse dest
+    kind: Callable | tuple[str, ...]  # caster, or the allowed values
+    commands: tuple[str, ...]
+    help: str
+    lo: int | None = None  # smallest allowed value
+    hi: float | None = None  # largest allowed value
+
+
+# command -> (handler, help)
+_COMMANDS = {
+    "analyze": (_cmd_analyze, "closed-form cost report for one setting"),
+    "curves": (emit_curves, "emit a figure table as CSV"),
+    "simulate": (_cmd_simulate, "Monte Carlo trial batch"),
+    "quantum-check": (_cmd_quantum_check, "exactness sweep over a power-of-two grid"),
+    "compare": (_cmd_compare, "quantum vs deletion-model query table"),
+}
+_ALL = tuple(_COMMANDS)
+_PROBLEM = ("analyze", "simulate", "compare")
+
+# Every option, keyed by its flag name without "--", which is also its
+# config-file key. --n stops at the largest float because N/m is evaluated
+# in floating point.
+_OPTIONS = {
+    "out": _Option("output_path", str, _ALL, "output path (default: stdout)"),
+    "seed": _Option("master_seed", int, _ALL,
+                    f"master seed (default: ${SEED_ENV_VAR} or 0)", 0, 2**64 - 1),
+    "format": _Option("output_format", ("csv", "json"), _ALL, "output format"),
+    "n": _Option("n_states", int, _PROBLEM, "number of database states N",
+                 1, sys.float_info.max),
+    "m": _Option("n_marked", int, _PROBLEM, "number of marked states"),
+    "marked": _Option("marked", _parse_marked, _PROBLEM,
+                      "explicit marked indices, comma-separated (overrides --m)"),
+    "delta": _Option("delta", float, _PROBLEM, "failure tolerance in (0, 1)"),
+    "delta-mode": _Option("delta_mode", (PER_STEP, OVERALL), _PROBLEM,
+                          "interpret --delta per step (default) or as an overall target"),
+    "preset": _Option("preset", tuple(sorted(_CURVE_PRESETS)), ("curves",),
+                      "built-in figure preset"),
+    "stride": _Option("stride", int, ("curves",), "m stride for f(m) presets", 1),
+    "points": _Option("points", int, ("curves",), "point count for f(delta) presets", 2),
+    "trials": _Option("trials", int, ("simulate",), "number of trials (default: 1000)", 1),
+    "strategy": _Option("strategy", ("budgeted", "unbounded"), ("simulate",),
+                        "retry strategy (default: budgeted)"),
+    "sampler": _Option("sampler", ("ideal", "quantum"), ("simulate",),
+                       "draw source (default: ideal)"),
+    "representation": _Option("representation", (FULL, SUBSPACE), ("simulate",),
+                              "state representation for the quantum sampler"),
+    "workers": _Option("workers", int, ("simulate",), "worker threads (default: 1)", 1),
+    "max-n": _Option("max_n", int, ("quantum-check",),
+                     "largest N (power of two, default: 4096, at most the "
+                     "full-representation cap)", 4, FULL_MAX_N),
+    "m-range": _Option("m_range", _parse_m_range, ("compare",),
+                       "row range LOW:HIGH for m"),
+}
+
+
+def _cast(option: _Option, text: str):
+    """Turn one flag, config-file or environment value into its RunConfig
+    value, applying the option's choices and bounds."""
+    if isinstance(option.kind, tuple):
+        if text not in option.kind:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice {text!r} (choose from {', '.join(option.kind)})")
+        return text
+    try:
+        value = option.kind(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid value {text!r}: {exc}") from None
+    if option.lo is not None and value < option.lo:
+        raise argparse.ArgumentTypeError(f"must be >= {option.lo}, got {value}")
+    if option.hi is not None and value > option.hi:
+        raise argparse.ArgumentTypeError(f"must be <= {option.hi}, got {value}")
+    return value
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="recallsearch",
+        description="Exact-search simulator and query-cost analytics for "
+        "finding every marked state in an unsorted search space.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        p.add_argument("--config", help="flat key=value config file")
+        for key, option in _OPTIONS.items():
+            if command in option.commands:
+                choices = isinstance(option.kind, tuple)
+                p.add_argument(
+                    f"--{key}", dest=option.attr, type=partial(_cast, option),
+                    metavar="{%s}" % ",".join(option.kind) if choices
+                    else key.upper().replace("-", "_"),
+                    help=option.help,
+                )
+    return parser
+
+
+_PARSER = build_parser()
+
+
+def _cast_or_exit(key: str, text: str, source: str):
+    try:
+        return _cast(_OPTIONS[key], text)
+    except argparse.ArgumentTypeError as exc:
+        _PARSER.error(f"{source}: {exc}")
+
+
+def _load_config_file(path: str) -> dict:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+    except OSError as exc:
+        _PARSER.error(f"--config: cannot read {path}: {exc}")
+    values = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not sep or not key:
+            _PARSER.error(f"--config {path}:{lineno}: expected key=value, got {raw!r}")
+        if key not in _OPTIONS:
+            _PARSER.error(f"--config {path}:{lineno}: unknown key {key!r}")
+        values[_OPTIONS[key].attr] = _cast_or_exit(
+            key, value, f"--config {path}:{lineno}: key '{key}'")
+    return values
+
+
+def parse_config(argv: list[str] | None = None) -> RunConfig:
+    """Resolve argv (+ optional config file) into a validated RunConfig."""
+    flags = {k: v for k, v in vars(_PARSER.parse_args(argv)).items() if v is not None}
+    path = flags.pop("config", None)
+    values = _load_config_file(path) if path else {}
+    values.update(flags)
+    if "master_seed" not in values and SEED_ENV_VAR in os.environ:
+        values["master_seed"] = _cast_or_exit("seed", os.environ[SEED_ENV_VAR], SEED_ENV_VAR)
+    values.setdefault("output_format",
+                      "csv" if values["command"] in ("curves", "compare") else "json")
+    config = RunConfig(**values)
+    _validate(config)
+    return config
+
+
+def _validate(config: RunConfig) -> None:
+    error = _PARSER.error
+    cmd = config.command
+    if config.marked is not None:
+        if len(set(config.marked)) != len(config.marked):
+            error("--marked: indices must be distinct")
+        config.n_marked = len(config.marked)
+
+    if cmd in _PROBLEM:
+        if config.n_states is None:
+            error(f"{cmd}: --n is required")
+        if config.delta is None:
+            error(f"{cmd}: --delta is required")
+        if not 0.0 < config.delta < 1.0:
+            error(f"--delta must be in (0, 1), got {config.delta}")
+
+    if cmd in ("analyze", "simulate"):
+        if config.n_marked is None:
+            error(f"{cmd}: --m or --marked is required")
+        if not 1 <= config.n_marked <= config.n_states:
+            error(f"--m must satisfy 1 <= m <= N, got m={config.n_marked}, N={config.n_states}")
+        if config.marked is not None and (
+            min(config.marked) < 0 or max(config.marked) >= config.n_states
+        ):
+            error(f"--marked: indices must lie in [0, {config.n_states})")
+        try:
+            resolve_step_delta(config.delta, config.n_marked, config.delta_mode)
+        except ValueError as exc:
+            error(f"--delta: {exc}")
+
+    if cmd == "curves" and config.preset is None:
+        error("curves: --preset is required")
+
+    if cmd == "compare":
+        if config.m_range is None:
+            if config.n_marked is None:
+                error("compare: --m-range (or --m) is required")
+            config.m_range = (config.n_marked, config.n_marked)
+        lo, hi = config.m_range
+        if not 1 <= lo <= hi <= config.n_states:
+            error(f"--m-range must satisfy 1 <= LOW <= HIGH <= N, got {lo}:{hi}")
+
+    full = config.sampler == "quantum" and config.representation == FULL
+    if cmd == "simulate" and full and config.n_states > FULL_MAX_N:
+        error(f"--n must be <= {FULL_MAX_N} with --representation full, "
+              f"got {config.n_states} (use --representation subspace)")
+
+    if cmd in ("analyze", "simulate") and config.output_format != "json":
+        error(f"{cmd}: only json output is supported")
 
 
 def run_command(config: RunConfig) -> int:
-    handlers = {
-        "analyze": _cmd_analyze,
-        "curves": emit_curves,
-        "simulate": _cmd_simulate,
-        "quantum-check": _cmd_quantum_check,
-        "compare": _cmd_compare,
-    }
-    return handlers[config.command](config)
+    return _COMMANDS[config.command][0](config)
 
 
 def main(argv: list[str] | None = None) -> None:
     sys.exit(run_command(parse_config(argv)))
+
+
+if __name__ == "__main__":
+    main()

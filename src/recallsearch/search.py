@@ -42,7 +42,7 @@ class ProblemInstance:
     delta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "marked", tuple(int(i) for i in self.marked))
+        object.__setattr__(self, "marked", tuple(map(int, self.marked)))
         if self.n_states < 1:
             raise ValueError(f"n_states must be >= 1, got {self.n_states}")
         m = len(self.marked)
@@ -50,7 +50,7 @@ class ProblemInstance:
             raise ValueError(f"need 1 <= m <= N, got m={m}, N={self.n_states}")
         if len(set(self.marked)) != m:
             raise ValueError("marked indices must be distinct")
-        if any(not 0 <= i < self.n_states for i in self.marked):
+        if min(self.marked) < 0 or max(self.marked) >= self.n_states:
             raise ValueError(f"marked indices must lie in [0, {self.n_states})")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
@@ -119,6 +119,8 @@ def search_params(n: int, m: int) -> SearchParams:
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= N, got m={m}, N={n}")
     beta = math.asin(math.sqrt(m / n))
+    if beta == 0.0:
+        raise ValueError(f"m/N underflows to 0 in floating point, got m={m}, N={n}")
     if m == n:
         return SearchParams(beta=beta, j=0, iterations=0, phi=0.0)
     j = math.ceil((math.pi / 2 - beta) / (2 * beta))

@@ -1,10 +1,17 @@
+import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from recallsearch.cli import parse_config, run_command
+from recallsearch.cli import _OPTIONS, parse_config, run_command
 from recallsearch.search import FULL_MAX_N
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(argv):
@@ -86,6 +93,101 @@ class TestParseConfig:
             ["analyze", "--n", "16", "--m", "1", "--delta", "0.1", "--seed", "5"]
         )
         assert config.master_seed == 5
+
+    def test_parser_is_built_once(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("parse_config built a parser")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+        assert parse_config(["analyze", "--n", "16", "--m", "1", "--delta", "0.1"]).n_states == 16
+
+    def test_marked_below_zero_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["simulate", "--n", "64", "--marked", "-1,3", "--delta", "0.1"])
+        assert exc.value.code == 2
+        assert "--marked" in capsys.readouterr().err
+
+
+# settings every command needs, as config-file keys and values
+BASE = {
+    "analyze": {"n": "64", "m": "3", "delta": "0.1"},
+    "simulate": {"n": "64", "m": "3", "delta": "0.1"},
+    "compare": {"n": "64", "delta": "0.1", "m-range": "1:2"},
+    "curves": {"preset": "fig2"},
+    "quantum-check": {},
+}
+
+# one non-default value for every option, and a command that takes it
+SAMPLES = {
+    "out": ("analyze", "out.json"),
+    "seed": ("analyze", "5"),
+    "format": ("curves", "json"),
+    "n": ("analyze", "128"),
+    "m": ("analyze", "2"),
+    "marked": ("simulate", "1,5"),
+    "delta": ("analyze", "0.2"),
+    "delta-mode": ("analyze", "overall"),
+    "preset": ("curves", "fig3"),
+    "stride": ("curves", "7"),
+    "points": ("curves", "9"),
+    "trials": ("simulate", "50"),
+    "strategy": ("simulate", "unbounded"),
+    "sampler": ("simulate", "quantum"),
+    "representation": ("simulate", "subspace"),
+    "workers": ("simulate", "2"),
+    "max-n": ("quantum-check", "64"),
+    "m-range": ("compare", "2:4"),
+}
+
+
+def _argv(command, settings):
+    argv = [command]
+    for key, value in settings.items():
+        argv += [f"--{key}", value]
+    return argv
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("key", sorted(_OPTIONS))
+    def test_flag_and_config_file_resolve_alike(self, key, tmp_path):
+        command, value = SAMPLES[key]
+        assert command in _OPTIONS[key].commands
+        base = {k: v for k, v in BASE[command].items() if k != key}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        from_flag = parse_config(_argv(command, {**base, key: value}))
+        from_file = parse_config(_argv(command, base) + ["--config", str(cfg)])
+        assert from_flag == from_file
+        assert from_flag != parse_config(_argv(command, BASE[command]))
+
+    @pytest.mark.parametrize("command,line", [
+        ("simulate", "strategy=foo"),
+        ("simulate", "representation=bogus"),
+        ("curves", "format=xml"),
+        ("simulate", "trials=0"),
+    ])
+    def test_invalid_config_value_exits_2(self, command, line, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        with pytest.raises(SystemExit) as exc:
+            parse_config(_argv(command, BASE[command]) + ["--config", str(cfg)])
+        assert exc.value.code == 2
+        assert f"'{line.split('=')[0]}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "compare"])
+    def test_n_beyond_float_range_exits_2(self, command, capsys):
+        # N/m no longer fits in a float (2**1024 - 1 rounds up to 2**1024)
+        settings = {**BASE[command], "n": str(2**1024 - 1), "m": "1"}
+        with pytest.raises(SystemExit) as exc:
+            parse_config(_argv(command, settings))
+        assert exc.value.code == 2
+        assert "--n" in capsys.readouterr().err
+
+    def test_largest_n_is_analyzed(self, capsys):
+        n = int(sys.float_info.max)
+        for m in ("1", "2"):
+            assert run_cli(["analyze", "--n", str(n), "--m", m, "--delta", "0.1"]) == 0
+            assert json.loads(capsys.readouterr().out)["N"] == n
 
 
 class TestAnalyze:
@@ -231,6 +333,14 @@ class TestSimulate:
         assert run_cli(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
+    def test_settings_from_config_file_match_golden_hash(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("n=256\nm=5\ndelta=0.02\ntrials=300\nseed=11\nstrategy=unbounded\n"
+                       "sampler=quantum\nrepresentation=subspace\n")
+        assert run_cli(["simulate", "--config", str(cfg)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "157eb4395889f775eed6962fb226cdf4f39a57090760f2842b0db01c61043a53")
+
     def test_subspace_beyond_2_27(self, capsys):
         # ~8k rounds: a round-by-round product drifts past the norm check here
         assert run_cli(["simulate", "--n", "134217728", "--m", "1", "--sampler", "quantum",
@@ -338,3 +448,42 @@ class TestErrors:
         missing_dir = tmp_path / "nope" / "out.csv"
         code = run_cli(["curves", "--preset", "fig2", "--out", str(missing_dir)])
         assert code == 1
+
+
+# sha256 of stdout, recorded before the options moved into one table
+GOLDEN_OUTPUTS = [
+    (["analyze", "--n", "1048576", "--m", "100", "--delta", "0.01"],
+     "22da55f087b56260f5e2d043c6af2490952af58cf717f8cce0158718bbbf74a5"),
+    (["analyze", "--n", "1048576", "--m", "100", "--delta", "0.05", "--delta-mode", "overall"],
+     "b3c80f0ea5ab2bd29b0ec50ef2b0afb6176d5f7f05ec343201cfffe4e2c5c160"),
+    (["curves", "--preset", "fig2"],
+     "795578a0b09b722ae546c905f03cbbc15e9f229b8e745aa9c6409aeb2295557a"),
+    (["curves", "--preset", "fig3", "--points", "20", "--format", "json"],
+     "e57be4cb8fc2dde3664384a1eb049ad4fe8e600c0a807b3d39dd330d5a88fef1"),
+    (["compare", "--n", "4096", "--delta", "0.01", "--m-range", "1:32"],
+     "2474cc0f7e5b3de1743ab21f8f252da14be6728e472df2473ba23979de68f0aa"),
+    (["compare", "--n", "4096", "--delta", "0.01", "--m-range", "1:32", "--format", "json"],
+     "1cb31f106d045b0c7c57e6c8b20e50d1c1008469304e46bb94d0695c6db3089a"),
+    (["quantum-check", "--max-n", "256"],
+     "1796864e968a31760e2d1e75c2833f44136a7db6132cb37e9d43dafad8d511a7"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_OUTPUTS, ids=[
+    "analyze-per-step", "analyze-overall", "curves-fig2", "curves-fig3-json",
+    "compare-csv", "compare-json", "quantum-check"])
+def test_output_matches_golden_hash(argv, digest, capsys):
+    assert run_cli(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("module", ["recallsearch", "recallsearch.cli"])
+def test_module_entry_point(module, capsys):
+    argv = ["analyze", "--n", "1024", "--m", "2", "--delta", "0.01"]
+    assert run_cli(argv) == 0
+    expected = capsys.readouterr().out.encode()
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                          capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == expected

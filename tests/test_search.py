@@ -88,6 +88,8 @@ class TestDeriveParams:
             assert search_params(n, m) == derive_search_params(problem(n, m))
         with pytest.raises(ValueError, match="1 <= m <= N"):
             search_params(4, 5)
+        with pytest.raises(ValueError, match="underflows"):
+            search_params(2**1100, 2)
 
 
 class TestPrepareUniform:
@@ -374,8 +376,9 @@ class TestProblemValidation:
             ProblemInstance(n_states=4, marked=(1, 1), delta=0.1)
 
     def test_rejects_out_of_range_marked(self):
-        with pytest.raises(ValueError, match="lie in"):
-            ProblemInstance(n_states=4, marked=(4,), delta=0.1)
+        for bad in ((4,), (-1, 2), (0, 1, 4)):
+            with pytest.raises(ValueError, match="lie in"):
+                ProblemInstance(n_states=4, marked=bad, delta=0.1)
 
     def test_rejects_bad_delta(self):
         for bad in (0.0, 1.0, -0.5, 2.0):
