@@ -8,8 +8,9 @@ without "--", cast and bounds-checked exactly like the flag), then
 $RECALL_SEED for the seed, then built-in default. Every emitted file is
 self-describing: CSV starts with a comment line and JSON carries a "meta"
 object, both recording the tool version, the resolved config, and the seed.
-Identical configs and seeds produce byte-identical output at any worker
-count.
+Identical configs and seeds produce byte-identical output. Each command
+handler returns its text and exit code; `run_command` opens --out before
+the handler runs and writes the text after.
 
 Exit codes: 0 success, 1 runtime failure, 2 bad flag/config value, 3
 exactness-check failure.
@@ -98,9 +99,9 @@ class RunConfig:
     max_n: int = 4096
 
 
-# Execution context, not experiment identity: results do not depend on these,
-# so they stay out of emitted headers to keep outputs byte-stable across
-# worker counts and destinations.
+# Not experiment identity: results do not depend on these, so they stay out
+# of emitted headers to keep outputs byte-stable across destinations and the
+# accepted but ignored --workers.
 _NON_IDENTITY_FIELDS = ("output_path", "workers")
 
 
@@ -140,19 +141,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(config: RunConfig, text: str) -> int:
-    if config.output_path is None:
-        sys.stdout.write(text)
-        return 0
-    try:
-        with open(config.output_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-    except OSError as exc:
-        print(f"error: cannot write {config.output_path}: {exc}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _report_row(report) -> dict:
     return {("N" if k == "n_states" else k): v for k, v in asdict(report).items()}
 
@@ -161,8 +149,8 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def emit_curves(config: RunConfig) -> int:
-    """Write the preset's (x, f) table; CSV schema is `x,f`."""
+def emit_curves(config: RunConfig) -> tuple[str, int]:
+    """The preset's (x, f) table as text; CSV schema is `x,f`."""
     preset = _CURVE_PRESETS[config.preset]
     if preset["kind"] == "m":
         stride = config.stride if config.stride is not None else preset["stride"]
@@ -178,21 +166,21 @@ def emit_curves(config: RunConfig) -> int:
         )
     if config.output_format == "json":
         payload = {"meta": _meta(config), "columns": ["x", "f"], "rows": [list(r) for r in rows]}
-        return _emit(config, _json_text(payload))
+        return _json_text(payload), 0
     lines = [_comment_line(config), "x,f"]
     lines.extend(f"{_fmt(x)},{_fmt(f)}" for x, f in rows)
-    return _emit(config, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n", 0
 
 
-def _cmd_analyze(config: RunConfig) -> int:
+def _cmd_analyze(config: RunConfig) -> tuple[str, int]:
     delta_step = resolve_step_delta(config.delta, config.n_marked, config.delta_mode)
     report = compare_models(config.n_marked, config.n_states, delta_step)
     payload = {"meta": _meta(config)}
     payload.update(_report_row(report))
-    return _emit(config, _json_text(payload))
+    return _json_text(payload), 0
 
 
-def _cmd_simulate(config: RunConfig) -> int:
+def _cmd_simulate(config: RunConfig) -> tuple[str, int]:
     delta_step = resolve_step_delta(config.delta, config.n_marked, config.delta_mode)
     marked = config.marked if config.marked is not None else tuple(range(config.n_marked))
     problem = ProblemInstance(n_states=config.n_states, marked=marked, delta=delta_step)
@@ -203,9 +191,7 @@ def _cmd_simulate(config: RunConfig) -> int:
     else:
         sampler = IdealSampler(problem, params)
     strategy = Budgeted(plan) if config.strategy == "budgeted" else Unbounded()
-    stats = run_trials(
-        problem, strategy, sampler, config.trials, config.master_seed, config.workers
-    )
+    stats = run_trials(problem, strategy, sampler, config.trials, config.master_seed)
     payload = {
         "meta": _meta(config),
         "n_trials": stats.n_trials,
@@ -218,26 +204,26 @@ def _cmd_simulate(config: RunConfig) -> int:
         "overall_success_rate": stats.overall_success_rate,
         "master_seed": stats.master_seed,
     }
-    return _emit(config, _json_text(payload))
+    return _json_text(payload), 0
 
 
-def _cmd_compare(config: RunConfig) -> int:
+def _cmd_compare(config: RunConfig) -> tuple[str, int]:
     delta = config.delta
     lo, hi = config.m_range
     reports = [compare_models(m, config.n_states, delta) for m in range(lo, hi + 1)]
     if config.output_format == "json":
         payload = {"meta": _meta(config), "rows": [_report_row(r) for r in reports]}
-        return _emit(config, _json_text(payload))
+        return _json_text(payload), 0
     columns = ["m", "N", "delta", "r_real", "r_int", "q_real", "q_int", "q_duality"]
     lines = [_comment_line(config), ",".join(columns)]
     for r in reports:
         row = (r.m, r.n_states, r.delta, r.r_real, r.r_integer, r.q_real, r.q_integer,
                r.q_duality)
         lines.append(",".join(_fmt(v) for v in row))
-    return _emit(config, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n", 0
 
 
-def _cmd_quantum_check(config: RunConfig) -> int:
+def _cmd_quantum_check(config: RunConfig) -> tuple[str, int]:
     """Exactness sweep: max |1 - p_success| over the power-of-two grid."""
     lines = [_comment_line(config)]
     worst = 0.0
@@ -258,7 +244,7 @@ def _cmd_quantum_check(config: RunConfig) -> int:
         f"max deviation over grid: {worst:.3e} "
         f"(threshold {EXACTNESS_THRESHOLD:.1e}) {'ok' if passed else 'FAIL'}"
     )
-    return _emit(config, "\n".join(lines) + "\n") or (0 if passed else 3)
+    return "\n".join(lines) + "\n", 0 if passed else 3
 
 
 def _parse_marked(text: str) -> tuple[int, ...]:
@@ -306,7 +292,7 @@ _OPTIONS = {
     "marked": _Option("marked", _parse_marked, _PROBLEM,
                       "explicit marked indices, comma-separated (overrides --m)"),
     "delta": _Option("delta", float, _PROBLEM, "failure tolerance in (0, 1)"),
-    "delta-mode": _Option("delta_mode", (PER_STEP, OVERALL), _PROBLEM,
+    "delta-mode": _Option("delta_mode", (PER_STEP, OVERALL), ("analyze", "simulate"),
                           "interpret --delta per step (default) or as an overall target"),
     "preset": _Option("preset", tuple(sorted(_CURVE_PRESETS)), ("curves",),
                       "built-in figure preset"),
@@ -319,7 +305,8 @@ _OPTIONS = {
                        "draw source (default: ideal)"),
     "representation": _Option("representation", (FULL, SUBSPACE), ("simulate",),
                               "state representation for the quantum sampler"),
-    "workers": _Option("workers", int, ("simulate",), "worker threads (default: 1)", 1),
+    "workers": _Option("workers", int, ("simulate",),
+                       "accepted and ignored: trials always run sequentially", 1),
     "max-n": _Option("max_n", int, ("quantum-check",),
                      "largest N (power of two, default: 4096, at most the "
                      "full-representation cap)", 4, FULL_MAX_N),
@@ -379,7 +366,7 @@ def _cast_or_exit(key: str, text: str, source: str):
         _PARSER.error(f"{source}: {exc}")
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, command: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.read().splitlines()
@@ -396,6 +383,8 @@ def _load_config_file(path: str) -> dict:
             _PARSER.error(f"--config {path}:{lineno}: expected key=value, got {raw!r}")
         if key not in _OPTIONS:
             _PARSER.error(f"--config {path}:{lineno}: unknown key {key!r}")
+        if command not in _OPTIONS[key].commands:
+            _PARSER.error(f"--config {path}:{lineno}: {command} does not take key {key!r}")
         values[_OPTIONS[key].attr] = _cast_or_exit(
             key, value, f"--config {path}:{lineno}: key '{key}'")
     return values
@@ -405,7 +394,7 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     """Resolve argv (+ optional config file) into a validated RunConfig."""
     flags = {k: v for k, v in vars(_PARSER.parse_args(argv)).items() if v is not None}
     path = flags.pop("config", None)
-    values = _load_config_file(path) if path else {}
+    values = _load_config_file(path, flags["command"]) if path else {}
     values.update(flags)
     if "master_seed" not in values and SEED_ENV_VAR in os.environ:
         values["master_seed"] = _cast_or_exit("seed", os.environ[SEED_ENV_VAR], SEED_ENV_VAR)
@@ -468,7 +457,26 @@ def _validate(config: RunConfig) -> None:
 
 
 def run_command(config: RunConfig) -> int:
-    return _COMMANDS[config.command][0](config)
+    """Run the command and write its text to --out or stdout.
+
+    --out is opened (created or truncated) before the command runs, so an
+    unwritable path fails at once rather than after the work.
+    """
+    handler = _COMMANDS[config.command][0]
+    path = config.output_path
+    if path is None:
+        text, code = handler(config)
+        sys.stdout.write(text)
+        return code
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            # handlers do no I/O, so an OSError here is the output file's
+            text, code = handler(config)
+            handle.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return 1
+    return code
 
 
 def main(argv: list[str] | None = None) -> None:

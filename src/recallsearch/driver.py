@@ -14,6 +14,7 @@ state with certainty, uniformly across the marked set.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +25,6 @@ from .search import (
     ProblemInstance,
     SearchParams,
     final_state,
-    full_cdf,
     measure,
     require_matching_params,
 )
@@ -136,9 +136,9 @@ class IdealSampler:
 class QuantumSampler:
     """Measurement draws from the simulated final state of one exact run.
 
-    The run's evolution is deterministic, so the final state (and, for FULL,
-    its CDF) is built once; each draw is a fresh measurement of it, exactly
-    as a per-draw simulation would produce.
+    The run's evolution is deterministic, so the final state is built once;
+    each draw is a fresh measurement of it, exactly as a per-draw simulation
+    would produce.
     """
 
     def __init__(self, problem: ProblemInstance, params: SearchParams, representation: str = FULL):
@@ -146,10 +146,9 @@ class QuantumSampler:
         self.problem = problem
         self.queries_per_draw = params.iterations
         self._final = final_state(problem, params, representation)
-        self._cdf = full_cdf(self._final) if representation == FULL else None
 
     def draw(self, rng: np.random.Generator) -> int:
-        return measure(self._final, self.problem, rng, self._cdf)
+        return measure(self._final, self.problem, rng)
 
 
 def execute_trial(
@@ -160,8 +159,10 @@ def execute_trial(
 ) -> TrialOutcome:
     """Run the find-everything procedure once and record what it cost.
 
-    Every draw counts against the active budget and costs a full run's
-    queries, whether or not it turns up a new state.
+    Step i draws until a new marked state turns up or its budget runs out;
+    an unbounded step has no budget. Every draw counts against the active
+    budget and costs a full run's queries, whether or not it turns up a new
+    state.
     """
     if sampler.problem != problem:
         raise ValueError("sampler was built for a different problem")
@@ -177,24 +178,20 @@ def execute_trial(
         plan = strategy.plan
         if len(plan.budgets) != m or plan.queries_per_run != cost:
             raise ValueError("plan does not match this problem/sampler")
-        for step, budget in enumerate(plan.budgets, start=1):
-            for _ in range(budget):
-                runs += 1
-                outcome = sampler.draw(rng)
-                if outcome in marked and outcome not in seen:
-                    seen.add(outcome)
-                    found.append(outcome)
-                    break
-            else:  # the step's budget ran out without a new state
-                failed_at = step
-                break
+        steps = (range(budget) for budget in plan.budgets)
     elif isinstance(strategy, Unbounded):
-        while len(seen) < m:
+        steps = itertools.repeat(itertools.count(), m)
+    else:
+        raise ValueError(f"unknown strategy: {strategy!r}")
+    for step, attempts in enumerate(steps, start=1):
+        for _ in attempts:
             runs += 1
             outcome = sampler.draw(rng)
             if outcome in marked and outcome not in seen:
                 seen.add(outcome)
                 found.append(outcome)
-    else:
-        raise ValueError(f"unknown strategy: {strategy!r}")
+                break
+        else:  # the step's budget ran out without a new state
+            failed_at = step
+            break
     return TrialOutcome(tuple(found), runs, runs * cost, failed_at is None, failed_at)

@@ -1,14 +1,13 @@
 """Statistical harness: deterministic batch trials and uniformity testing.
 
-Every trial owns a counter-based random stream keyed by (master_seed,
-trial_index), so batch results are bit-identical regardless of how trials
-are scheduled across workers. Aggregation walks outcomes in trial order.
+Trials run one after another, in trial order. Every trial owns a
+counter-based random stream keyed by (master_seed, trial_index), so a
+trial's outcome depends only on its index, never on the trials before it.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -69,25 +68,18 @@ def run_trials(
     sampler,
     n_trials: int,
     master_seed: int,
-    workers: int = 1,
 ) -> TrialStats:
     """Execute n_trials independent trials and aggregate in trial order.
 
     Deterministic for a given (problem, strategy, sampler kind, n_trials,
-    master_seed), whatever the worker count.
+    master_seed).
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-
-    def one(t: int) -> TrialOutcome:
-        return execute_trial(problem, sampler, strategy, trial_stream(master_seed, t))
-
-    if workers <= 1:
-        outcomes = [one(t) for t in range(n_trials)]
-    else:
-        chunk = max(1, n_trials // (workers * 8))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one, range(n_trials), chunksize=chunk))
+    outcomes = [
+        execute_trial(problem, sampler, strategy, trial_stream(master_seed, t))
+        for t in range(n_trials)
+    ]
     return _aggregate(problem, outcomes, master_seed)
 
 
@@ -160,7 +152,6 @@ def empirical_vs_closed_form(
     n_trials: int,
     master_seed: int,
     sampler=None,
-    workers: int = 1,
 ) -> dict:
     """Closed-form run budget next to what simulation actually spends.
 
@@ -172,9 +163,7 @@ def empirical_vs_closed_form(
     plan = build_plan(problem, params)
     if sampler is None:
         sampler = IdealSampler(problem, params)
-    stats = run_trials(
-        problem, Budgeted(plan), sampler, n_trials, master_seed, workers=workers
-    )
+    stats = run_trials(problem, Budgeted(plan), sampler, n_trials, master_seed)
     return {
         "r_real": total_runs_closed_form(problem.n_marked, problem.delta),
         "total_runs_budget": plan.total_runs_budget,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -107,6 +108,12 @@ class QuantumState:
         norm = float(np.sum(np.abs(amps) ** 2))
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state is not normalized: sum |a|^2 = {norm!r}")
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Cumulative squared magnitudes, built on first use and kept, so a
+        state measured many times pays for its CDF once."""
+        return np.cumsum(np.abs(self.amplitudes) ** 2)
 
 
 def search_params(n: int, m: int) -> SearchParams:
@@ -236,26 +243,17 @@ def _subspace_power(problem: ProblemInstance, phi: float, k: int) -> np.ndarray:
     return complex(math.cos(k * phi), math.sin(k * phi)) * np.array([a, b])
 
 
-def full_cdf(state: QuantumState) -> np.ndarray:
-    """Cumulative squared magnitudes of a FULL state, as ``measure`` reads
-    them."""
-    return np.cumsum(np.abs(state.amplitudes) ** 2)
-
-
-def measure(
-    state: QuantumState, problem: ProblemInstance, rng: np.random.Generator,
-    cdf: np.ndarray | None = None,
-) -> int:
+def measure(state: QuantumState, problem: ProblemInstance, rng: np.random.Generator) -> int:
     """Sample one basis index from the squared-magnitude distribution.
 
     Inverse-CDF with a single uniform variate per draw, so a stream's
-    position depends only on how many draws it has served. A caller that
-    measures one FULL state many times passes its ``full_cdf`` once built.
+    position depends only on how many draws it has served. A FULL state's
+    CDF is built on its first measurement and reused after.
     """
     _check_shape(state, problem)
     u = float(rng.random())
     if state.representation == FULL:
-        cdf = full_cdf(state) if cdf is None else cdf
+        cdf = state.cdf
         idx = int(np.searchsorted(cdf, u * float(cdf[-1]), side="right"))
         return min(idx, problem.n_states - 1)
     # Subspace draw: pick the marked/unmarked class first, then the member.

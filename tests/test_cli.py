@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -165,6 +166,9 @@ class TestOptionTable:
         ("simulate", "representation=bogus"),
         ("curves", "format=xml"),
         ("simulate", "trials=0"),
+        # keys of options the command does not take
+        ("compare", "delta-mode=overall"),
+        ("analyze", "sampler=quantum"),
     ])
     def test_invalid_config_value_exits_2(self, command, line, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -289,6 +293,14 @@ class TestSimulate:
         assert run_cli(base + ["--out", str(out2), "--workers", "4"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_workers_start_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("simulate started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert run_cli(["simulate", "--n", "64", "--m", "4", "--delta", "0.05",
+                        "--trials", "50", "--workers", "2"]) == 0
+
     def test_payload_consistency(self, tmp_path):
         out = tmp_path / "sim.json"
         assert run_cli(
@@ -331,6 +343,31 @@ class TestSimulate:
     def test_quantum_output_matches_golden_hash(self, args, digest, capsys):
         argv = ["simulate", "--sampler", "quantum", "--delta", "0.05"] + args
         assert run_cli(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    # sha256 of stdout, recorded before the trial engine became one sequential
+    # loop with one draw path
+    GOLDEN_ENGINE = [
+        ("--n 64 --m 8 --delta 0.05 --trials 2000 --seed 42 --sampler quantum --workers 4",
+         "7c3a5ab7fa3371ada22caadf1e8e5fa853e17739ba317952fdb4e2dbc3764485"),
+        # 3% of trials fail
+        ("--n 1048576 --m 200 --delta 0.05 --delta-mode overall --trials 100 --seed 5",
+         "09ff1d4ee28b82d1b4b8f423fcdefbe158c43259819cf16ca6bd91563798d4f9"),
+        ("--n 1048576 --m 200 --delta 0.05 --strategy unbounded --trials 100 --seed 6",
+         "4136a17641f151bf8bbd145f94e0168e995c9181ae7569f49f180b58c49d8fad"),
+        ("--n 4096 --m 16 --delta 0.05 --strategy unbounded --sampler quantum "
+         "--representation full --trials 300 --seed 8",
+         "27fceb192b0507217e1b872497a0db50ee212624e26523f47d4ab07ae54066a9"),
+        # most trials exhaust a step's budget
+        ("--n 256 --m 20 --delta 0.3 --sampler quantum --representation full "
+         "--trials 500 --seed 9",
+         "05cdb911a9a9a27b4e3a5e6859ba6b45c8de02d05dc8f4434250d18af3bd0744"),
+    ]
+
+    @pytest.mark.parametrize("args,digest", GOLDEN_ENGINE, ids=[
+        "readme", "ideal-budgeted", "ideal-unbounded", "full-unbounded", "full-exhausted"])
+    def test_trial_engine_matches_golden_hash(self, args, digest, capsys):
+        assert run_cli(["simulate"] + args.split()) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_settings_from_config_file_match_golden_hash(self, tmp_path, capsys):
@@ -386,6 +423,14 @@ class TestCompare:
         with pytest.raises(SystemExit) as exc:
             parse_config(["compare", "--n", "64", "--delta", "0.1"])
         assert exc.value.code == 2
+
+    def test_rejects_delta_mode(self, capsys):
+        # compare prices per-step deltas only; it does not take --delta-mode
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["compare", "--n", "4096", "--delta", "0.05", "--m-range", "8:9",
+                          "--delta-mode", "overall"])
+        assert exc.value.code == 2
+        assert "--delta-mode" in capsys.readouterr().err
 
 
 class TestQuantumCheck:
@@ -448,6 +493,18 @@ class TestErrors:
         missing_dir = tmp_path / "nope" / "out.csv"
         code = run_cli(["curves", "--preset", "fig2", "--out", str(missing_dir)])
         assert code == 1
+
+    def test_unwritable_output_fails_before_the_work(self, tmp_path, monkeypatch, capsys):
+        import recallsearch.cli as cli
+
+        def refuse(*args):
+            raise AssertionError("run_trials was called")
+
+        monkeypatch.setattr(cli, "run_trials", refuse)
+        code = run_cli(["simulate", "--n", "64", "--m", "2", "--delta", "0.1",
+                        "--out", str(tmp_path / "nope" / "x.json")])
+        assert code == 1
+        assert "cannot write" in capsys.readouterr().err
 
 
 # sha256 of stdout, recorded before the options moved into one table

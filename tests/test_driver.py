@@ -1,6 +1,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,6 @@ from recallsearch.search import (
     ProblemInstance,
     derive_search_params,
     final_state,
-    full_cdf,
     measure,
     prepare_uniform,
 )
@@ -271,21 +271,38 @@ class TestSamplers:
         assert all(sampler.draw(rng) in prob.marked for _ in range(300))
 
     def test_cached_cdf_draws_equal_measure_draws(self):
+        # one state measured repeatedly (its CDF cached) draws what a fresh
+        # state per measurement (its CDF built anew) draws
         prob = ProblemInstance(n_states=2**10, marked=(3, 500, 1023), delta=0.1)
         params = derive_search_params(prob)
         sampler = QuantumSampler(prob, params, FULL)
-        state = final_state(prob, params, FULL)
         rng_a, rng_b = trial_stream(5, 1), trial_stream(5, 1)
         draws = [sampler.draw(rng_a) for _ in range(500)]
-        assert draws == [measure(state, prob, rng_b) for _ in range(500)]
+        assert draws == [measure(final_state(prob, params, FULL), prob, rng_b)
+                         for _ in range(500)]
         assert set(draws) <= set(prob.marked)
         # a spread-out state, where a wrong CDF index would show
         uniform = prepare_uniform(prob, FULL)
-        cdf = full_cdf(uniform)
         rng_a, rng_b = trial_stream(6, 2), trial_stream(6, 2)
-        cached = [measure(uniform, prob, rng_a, cdf) for _ in range(500)]
-        assert cached == [measure(uniform, prob, rng_b) for _ in range(500)]
+        cached = [measure(uniform, prob, rng_a) for _ in range(500)]
+        assert cached == [measure(prepare_uniform(prob, FULL), prob, rng_b)
+                          for _ in range(500)]
         assert len(set(cached)) > 300
+
+    def test_full_state_builds_its_cdf_once(self, monkeypatch):
+        cumsum = np.cumsum
+        calls = []
+        monkeypatch.setattr(np, "cumsum", lambda *a, **k: calls.append(1) or cumsum(*a, **k))
+        prob = ProblemInstance(n_states=2**10, marked=(3, 500, 1023), delta=0.1)
+        sampler = QuantumSampler(prob, derive_search_params(prob), FULL)
+        rng = trial_stream(7, 0)
+        for _ in range(200):
+            sampler.draw(rng)
+        assert len(calls) == 1
+        uniform = prepare_uniform(prob, FULL)
+        for _ in range(50):
+            measure(uniform, prob, rng)
+        assert len(calls) == 2
 
     def test_samplers_price_draws_identically(self):
         prob = problem(256, 4)

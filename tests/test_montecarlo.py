@@ -69,20 +69,11 @@ class TestRunTrials:
         params = derive_search_params(prob)
         plan = build_plan(prob, params)
         stats = run_trials(prob, Budgeted(plan), IdealSampler(prob, params), 500, 1)
+        assert isinstance(stats, TrialStats)
         assert stats.overall_success_rate == 1.0
         assert stats.mean_runs == 1.0
         assert stats.per_step_success_rate == (1.0,)
         assert stats.mean_queries == stats.mean_runs * plan.queries_per_run
-
-    def test_deterministic_across_worker_counts(self):
-        prob = problem(64, 6, delta=0.05)
-        params = derive_search_params(prob)
-        plan = build_plan(prob, params)
-        sampler = IdealSampler(prob, params)
-        serial = run_trials(prob, Budgeted(plan), sampler, 800, 42, workers=1)
-        threaded = run_trials(prob, Budgeted(plan), sampler, 800, 42, workers=4)
-        assert serial == threaded
-        assert isinstance(serial, TrialStats)
 
     def test_mean_queries_scales_with_run_price(self):
         prob = problem(256, 3, delta=0.05)
