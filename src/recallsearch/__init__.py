@@ -30,6 +30,7 @@ from .driver import (
     execute_trial,
     resolve_step_delta,
     step_budget,
+    step_budgets,
 )
 from .montecarlo import (
     TrialStats,
@@ -92,6 +93,7 @@ __all__ = [
     "run_trials",
     "search_params",
     "step_budget",
+    "step_budgets",
     "success_probability",
     "total_queries_closed_form",
     "total_runs_closed_form",

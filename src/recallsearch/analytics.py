@@ -5,10 +5,13 @@ The run total for finding all m states with per-step tolerance delta is
 
     1 + sum_{k=1}^{m-1} ln(1/delta) / ln(m/k)
 
-which is affine in ln(1/delta): the k-sum is computed once per m with exact
-compensated summation (math.fsum) and the ln(1/delta) factor applied after.
-Query totals price each run at the exact per-run iteration count, giving the
-asymptotic sqrt(N/m) factor a concrete, reproducible constant.
+which is affine in ln(1/delta): the k-sum is computed once per m and the
+ln(1/delta) factor applied after. Its terms are evaluated in fixed-size numpy
+blocks and summed exactly (exact_sum), so the result is the exactly rounded
+sum, equal bit for bit to math.fsum of the same terms, in memory that does
+not grow with m. Query totals price each run at the exact per-run iteration
+count, giving the asymptotic sqrt(N/m) factor a concrete, reproducible
+constant.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import step_budget
+from .driver import BLOCK, ramp_blocks, step_budget_blocks
 from .search import search_params
 
 
@@ -45,16 +48,81 @@ class ComplexityReport:
     duality_log_base: int = 2
 
 
-def _inverse_log_ratio_sum(m: int) -> float:
-    """sum_{k=1}^{m-1} 1/ln(m/k), exactly-rounded compensated summation.
+def _round_scaled(total: int, exp: int) -> float:
+    """total * 2**exp rounded once to the nearest float, ties to even."""
+    extra = total.bit_length() - 64
+    if extra > 0:  # keep 64 bits and a sticky bit: float() then rounds as if exact
+        sticky = total & ((1 << extra) - 1) != 0
+        total = (total >> extra) | sticky
+        exp += extra
+    return math.ldexp(float(total), exp)
+
+
+def exact_sum(blocks) -> float:
+    """Exactly rounded sum of 1-D float64 arrays of positive finite values,
+    equal bit for bit to math.fsum of their concatenation.
+
+    Every value of a block is a multiple of 2**low, low being 53 below the
+    frexp exponent of the block's smallest value, and below 2**top, top
+    being the exponent of its largest. The block is cut from the top into
+    int64 fixed-point limbs of at most 62 - bit_length(len(block)) bits
+    (floor of the rest scaled by ldexp), so each limb's sum over the block is
+    exact in int64. Limb sums are added as Python ints and the total is
+    rounded once, half to even, as fsum rounds.
+    """
+    total, base = 0, None  # the sum so far is total * 2**base
+    scaled = limbs = rest = None
+    for x in blocks:
+        n = len(x)
+        if n == 0:
+            continue
+        if scaled is None or len(scaled) < n:
+            scaled, rest = np.empty(n), np.empty(n)
+            limbs = np.empty(n, dtype=np.int64)
+        y, q, r = scaled[:n], limbs[:n], rest[:n]
+        width = 62 - n.bit_length()
+        shift = math.frexp(float(x.max()))[1]
+        low = math.frexp(float(x.min()))[1] - 53
+        if base is None:
+            base = low
+        elif low < base:
+            total <<= base - low
+            base = low
+        while True:
+            shift = max(shift - width, low)
+            np.ldexp(x, -shift, out=y)
+            np.floor(y, out=y)
+            np.copyto(q, y, casting="unsafe")
+            total += int(q.sum()) << (shift - base)
+            if shift == low:
+                break
+            np.ldexp(y, shift, out=y)  # the limb's part of x, exactly
+            x = np.subtract(x, y, out=r)
+    return 0.0 if base is None else _round_scaled(total, base)
+
+
+def _inverse_log_ratio_terms(m: int):
+    """1/log1p((m-k)/k) for k = 1..m-1, in blocks that are views of one
+    reused buffer.
 
     log1p((m-k)/k) keeps the k ~ m terms accurate where ln(m/k) is tiny and
     the summands are largest.
     """
+    term = np.empty(min(m - 1, BLOCK))
+    for _, k in ramp_blocks(m - 1):
+        t = term[: len(k)]
+        np.subtract(m, k, out=t)
+        np.divide(t, k, out=t)
+        np.log1p(t, out=t)
+        yield np.divide(1.0, t, out=t)
+
+
+def _inverse_log_ratio_sum(m: int) -> float:
+    """sum_{k=1}^{m-1} 1/ln(m/k), exactly rounded: exact_sum of the terms,
+    equal to math.fsum of them."""
     if m < 2:
         return 0.0
-    k = np.arange(1, m, dtype=np.float64)
-    return math.fsum(1.0 / np.log1p((m - k) / k))
+    return exact_sum(_inverse_log_ratio_terms(m))
 
 
 def total_runs_closed_form(m: int, delta: float) -> float:
@@ -141,7 +209,7 @@ def compare_models(m: int, n_states: int, delta: float) -> ComplexityReport:
     deletion query ratio (None when the deletion count is zero)."""
     params = search_params(n_states, m)
     r_real = total_runs_closed_form(m, delta)
-    r_int = sum(step_budget(m, i, delta) for i in range(1, m + 1))
+    r_int = sum(int(block.sum()) for block in step_budget_blocks(m, delta))
     q_real = r_real * params.iterations
     q_int = r_int * params.iterations
     q_dual = duality_queries(m, n_states)

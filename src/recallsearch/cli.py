@@ -12,8 +12,8 @@ Identical configs and seeds produce byte-identical output. Each command
 handler returns its text and exit code; `run_command` opens --out before
 the handler runs and writes the text after.
 
-Exit codes: 0 success, 1 runtime failure, 2 bad flag/config value, 3
-exactness-check failure.
+Exit codes: 0 success, 1 runtime failure (an OSError), 2 bad flag/config
+value or a numerical limit (a ValueError), 3 exactness-check failure.
 """
 
 from __future__ import annotations
@@ -210,7 +210,7 @@ def _cmd_simulate(config: RunConfig) -> tuple[str, int]:
 def _cmd_compare(config: RunConfig) -> tuple[str, int]:
     delta = config.delta
     lo, hi = config.m_range
-    reports = [compare_models(m, config.n_states, delta) for m in range(lo, hi + 1)]
+    reports = (compare_models(m, config.n_states, delta) for m in range(lo, hi + 1))
     if config.output_format == "json":
         payload = {"meta": _meta(config), "rows": [_report_row(r) for r in reports]}
         return _json_text(payload), 0
@@ -480,7 +480,16 @@ def run_command(config: RunConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> None:
-    sys.exit(run_command(parse_config(argv)))
+    """Run the CLI and exit with its code. A ValueError that escapes a
+    command (a numerical limit) exits 2 and an OSError exits 1, each with a
+    one-line message instead of a traceback."""
+    try:
+        code = run_command(parse_config(argv))
+    except (ValueError, OSError) as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"error: {message}", file=sys.stderr)
+        code = 2 if isinstance(exc, ValueError) else 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -32,6 +32,11 @@ from .search import (
 PER_STEP = "per-step"
 OVERALL = "overall"
 
+# Entries per vectorized block: the closed-form kernels work in buffers of
+# at most this many float64s, reused from block to block, so their memory
+# does not grow with m.
+BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class StepPlan:
@@ -88,11 +93,91 @@ def step_budget(m: int, i: int, delta: float) -> int:
     return r
 
 
+def ramp_blocks(n: int):
+    """Yield (start, k) with k = start+1..start+c as float64, in blocks of at
+    most BLOCK that together cover 1..n. k is a view of one reused buffer."""
+    size = min(BLOCK, n)
+    ramp = np.arange(1, size + 1, dtype=np.float64)
+    k = np.empty(size)
+    for start in range(0, n, BLOCK):
+        c = min(BLOCK, n - start)
+        yield start, np.add(ramp[:c], start, out=k[:c])
+
+
+def step_budget_blocks(m: int, delta: float):
+    """Yield r_1..r_m in order as int64 arrays of at most BLOCK entries, each
+    equal to step_budget(m, i, delta). Each array is a view of a buffer that
+    the next block overwrites.
+
+    The seed ceil(ln(1/delta) / ln(m/(i-1))) is nudged with numpy's power
+    until it is minimal. numpy's power can differ from Python's ** in the
+    last ulp, so it cannot decide p**r <= delta when p**r is that close to
+    delta: any entry whose p**r or p**(r-1) lies within the guard band
+    max(delta * 2**-40, 2**-1064) of delta is decided by the scalar
+    step_budget instead. The band is about 4000 ulps wide for normal delta,
+    and at least 1024 steps of the smallest subnormal for subnormal delta,
+    where one ulp is a large relative error.
+    """
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    yield np.ones(1, dtype=np.int64)  # step 1 always turns up a new state
+    size = min(BLOCK, m - 1)
+    p, r, hi, lo = (np.empty(size) for _ in range(4))
+    over, under = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+    budgets = np.empty(size, dtype=np.int64)
+    log_inv_delta, log_m = -math.log(delta), math.log(m)
+    guard = max(delta * 2.0**-40, 2.0**-1064)
+    for start, k in ramp_blocks(m - 1):  # k = i - 1
+        c = len(k)
+        p_, r_, hi_, lo_, over_, under_ = (a[:c] for a in (p, r, hi, lo, over, under))
+        np.divide(k, m, out=p_)
+        np.log(k, out=r_)
+        np.subtract(log_m, r_, out=r_)
+        np.divide(log_inv_delta, r_, out=r_)
+        np.ceil(r_, out=r_)
+        np.maximum(r_, 1.0, out=r_)
+        while True:  # raise r while p**r > delta
+            np.power(p_, r_, out=hi_)
+            np.greater(hi_, delta, out=over_)
+            if not over_.any():
+                break
+            r_ += over_
+        while True:  # lower r while p**(r-1) <= delta; p**0 = 1 stops it at 1
+            np.subtract(r_, 1.0, out=lo_)
+            np.power(p_, lo_, out=lo_)
+            np.less_equal(lo_, delta, out=under_)
+            if not under_.any():
+                break
+            r_ -= under_
+            np.copyto(hi_, lo_, where=under_)
+        out = budgets[:c]
+        np.copyto(out, r_, casting="unsafe")
+        np.equal(r_, 1.0, out=under_)  # p**0 = 1 exactly: nothing to decide
+        np.copyto(lo_, np.inf, where=under_)
+        for p_r in (hi_, lo_):  # distance of p**r and p**(r-1) from delta
+            np.subtract(p_r, delta, out=p_r)
+            np.abs(p_r, out=p_r)
+        np.minimum(hi_, lo_, out=hi_)
+        np.less_equal(hi_, guard, out=over_)
+        for j in np.flatnonzero(over_).tolist():
+            out[j] = step_budget(m, start + j + 2, delta)
+        yield out
+
+
+def step_budgets(m: int, delta: float) -> tuple[int, ...]:
+    """r_1..r_m, equal to [step_budget(m, i, delta) for i in 1..m]; see
+    step_budget_blocks."""
+    return tuple(itertools.chain.from_iterable(
+        block.tolist() for block in step_budget_blocks(m, delta)))
+
+
 def build_plan(problem: ProblemInstance, params: SearchParams) -> StepPlan:
     """Per-step retry budgets for the problem's delta, priced per run."""
     require_matching_params(problem, params)
     m = problem.n_marked
-    budgets = tuple(step_budget(m, i, problem.delta) for i in range(1, m + 1))
+    budgets = step_budgets(m, problem.delta)
     total_runs = sum(budgets)
     return StepPlan(
         budgets=budgets,

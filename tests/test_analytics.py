@@ -1,19 +1,23 @@
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recallsearch.analytics import (
+    _inverse_log_ratio_sum,
     compare_models,
     duality_queries,
+    exact_sum,
     f_of_delta_curve,
     f_of_m_curve,
     total_queries_closed_form,
     total_runs_closed_form,
 )
-from recallsearch.driver import step_budget
+from recallsearch.driver import BLOCK, step_budget
 
 
 def direct_run_total(m, delta):
@@ -218,3 +222,61 @@ class TestCompareModels:
         )
         assert rising_from < len(ms) - 1
         assert q_real[-1] > q_real[0]
+
+
+def in_blocks(x):
+    return (x[i : i + BLOCK] for i in range(0, len(x), BLOCK))
+
+
+LENGTHS = st.sampled_from([0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+
+
+class TestExactSum:
+    @settings(max_examples=120, deadline=None)
+    @given(values=st.lists(st.floats(min_value=5e-324, max_value=1e300), max_size=40))
+    def test_equals_fsum_on_any_positive_values(self, values):
+        x = np.array(values, dtype=np.float64)
+        assert exact_sum([x]) == math.fsum(values)
+        assert exact_sum(in_blocks(x)) == math.fsum(values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=LENGTHS,
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        low=st.integers(min_value=-1074, max_value=900),
+        span=st.integers(min_value=0, max_value=2000),
+    )
+    def test_equals_fsum_over_a_wide_exponent_range(self, n, seed, low, span):
+        # mantissas at full precision, exponents spread over [low, low + span]
+        rng = np.random.default_rng(seed)
+        top = min(low + span, 1000)
+        x = np.ldexp(1.0 + rng.random(n), rng.integers(low, top + 1, size=n))
+        x = x[x > 0]  # the deepest subnormals can round to zero
+        assert exact_sum(in_blocks(x)) == math.fsum(x)
+        assert exact_sum([x]) == math.fsum(x)
+
+    def test_rounds_ties_to_even(self):
+        # 1 + 2**-53 is halfway between 1 and its successor: fsum rounds to 1
+        ones = np.array([1.0, 2.0**-53])
+        assert exact_sum([ones]) == math.fsum(ones) == 1.0
+        up = np.array([1.0, 2.0**-53, 2.0**-105])
+        assert exact_sum([up]) == math.fsum(up) == math.nextafter(1.0, 2.0)
+
+    def test_empty_is_zero(self):
+        assert exact_sum([]) == 0.0
+        assert exact_sum([np.empty(0)]) == 0.0
+
+    @pytest.mark.parametrize("m", [2, 3, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1, 54_321])
+    def test_k_sum_equals_fsum_of_the_terms(self, m):
+        k = np.arange(1, m, dtype=np.float64)
+        assert _inverse_log_ratio_sum(m) == math.fsum(1.0 / np.log1p((m - k) / k))
+
+    def test_compare_models_memory_does_not_grow_with_m(self):
+        tracemalloc.start()
+        try:
+            report = compare_models(2_000_000, 2**40, 0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.r_integer >= report.r_real
+        assert peak < 4 * 2**20

@@ -506,6 +506,26 @@ class TestErrors:
         assert code == 1
         assert "cannot write" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("exc,code", [
+        (ValueError("overall delta 1e-300 over 9 steps\nunderflows to 0"), 2),
+        (OSError(28, "No space left on device"), 1),
+    ], ids=["value-error", "os-error"])
+    def test_main_maps_escaped_errors_to_exit_codes(self, exc, code, monkeypatch, capsys):
+        import recallsearch.cli as cli
+
+        def fail(config):
+            raise exc
+
+        monkeypatch.setitem(cli._COMMANDS, "analyze", (fail, "raises"))
+        with pytest.raises(SystemExit) as done:
+            cli.main(["analyze", "--n", "1024", "--m", "2", "--delta", "0.01"])
+        assert done.value.code == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert str(exc).splitlines()[-1] in captured.err
+
 
 # sha256 of stdout, recorded before the options moved into one table
 GOLDEN_OUTPUTS = [
@@ -530,6 +550,32 @@ GOLDEN_OUTPUTS = [
     "analyze-per-step", "analyze-overall", "curves-fig2", "curves-fig3-json",
     "compare-csv", "compare-json", "quantum-check"])
 def test_output_matches_golden_hash(argv, digest, capsys):
+    assert run_cli(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# sha256 of stdout at scale, recorded before the k-sum and the step budgets
+# were computed in numpy blocks: fig1 sums 5e7 k-sum terms, compare and the
+# m=1e5 reports add up every step budget, and delta=1e-310 is subnormal.
+GOLDEN_AT_SCALE = [
+    (["curves", "--preset", "fig1"],
+     "13ef5858861ef709c3a79c20c8a75b47fb20fac2dc9d1e7219cebc49b8ab91af"),
+    (["compare", "--n", "1048576", "--delta", "0.01", "--m-range", "1:1024"],
+     "1d5c5a5a66a63b111c6b289f707eec5bf95fc620fac025008664a6178ceb7e7d"),
+    (["analyze", "--n", "1099511627776", "--m", "100000", "--delta", "1e-12"],
+     "ed3f9121436f50b8f9af824bbf64f66772611323b95a2f39dbec4c0bc0a72ebf"),
+    (["analyze", "--n", "1099511627776", "--m", "100000", "--delta", "0.05",
+      "--delta-mode", "overall"],
+     "c3176983cfa3816bd1cc25d1cad698362cbf3a55f39b129243b79fedc78aaacd"),
+    (["analyze", "--n", "1024", "--m", "2", "--delta", "1e-310"],
+     "67df241362a9ebf3450d396e37611f90fc71a8edd39a841dcecd8f9f9fc73889"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_AT_SCALE, ids=[
+    "curves-fig1", "compare-1-1024", "analyze-1e5-per-step", "analyze-1e5-overall",
+    "analyze-subnormal-delta"])
+def test_output_at_scale_matches_golden_hash(argv, digest, capsys):
     assert run_cli(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 

@@ -3,10 +3,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from recallsearch import driver
 from recallsearch.driver import (
+    BLOCK,
     OVERALL,
     PER_STEP,
     Budgeted,
@@ -17,6 +19,8 @@ from recallsearch.driver import (
     execute_trial,
     resolve_step_delta,
     step_budget,
+    step_budget_blocks,
+    step_budgets,
 )
 from recallsearch.montecarlo import trial_stream
 from recallsearch.search import (
@@ -87,6 +91,82 @@ class TestStepBudget:
         for bad in (0.0, 1.0, -1.0):
             with pytest.raises(ValueError, match="delta"):
                 step_budget(5, 2, bad)
+
+
+def scalar_budgets(m, delta):
+    return [step_budget(m, i, delta) for i in range(1, m + 1)]
+
+
+def nudge(x, ulps):
+    """x moved by `ulps` float steps (down when negative)."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, 0.0 if ulps < 0 else 1.0)
+    return x
+
+
+# per-step tolerances spread evenly in log10 from subnormal to just below 1
+LOG_DELTAS = st.floats(min_value=-320.0, max_value=-1e-15).map(lambda e: 10.0**e)
+DELTAS = st.one_of(LOG_DELTAS, st.floats(min_value=5e-324, max_value=1 - 2**-53),
+                   st.sampled_from([5e-324, 1e-320, 2.2250738585072014e-308, 1 - 2**-53]))
+
+
+class TestStepBudgets:
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(min_value=1, max_value=20_000), delta=DELTAS)
+    @example(m=20_000, delta=1e-320)
+    @example(m=20_000, delta=1 - 2**-53)
+    def test_equal_scalar_budgets(self, m, delta):
+        assert list(step_budgets(m, delta)) == scalar_budgets(m, delta)
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.integers(min_value=2, max_value=3 * BLOCK), data=st.data())
+    def test_equal_scalar_budgets_where_a_power_lands_near_delta(self, m, data):
+        # delta on or a few ulps from p**r for one step, including subnormal p**r
+        i = data.draw(st.integers(min_value=2, max_value=m))
+        r = data.draw(st.integers(min_value=1, max_value=200_000))
+        delta = nudge(((i - 1) / m) ** r, data.draw(st.integers(min_value=-3, max_value=3)))
+        assume(0.0 < delta < 1.0)
+        assert list(step_budgets(m, delta)) == scalar_budgets(m, delta)
+
+    @pytest.mark.parametrize("log_delta", [-2.0, -300.0, -709.0, -712.0])
+    def test_equal_scalar_budget_where_delta_is_a_power(self, log_delta):
+        # For every step i, delta on or one ulp from p**r at the r where
+        # p**r first falls near exp(log_delta). numpy's power differs from
+        # Python's ** in the last ulp for some of these, which puts the two
+        # on opposite sides of delta; at -712 p**r is subnormal.
+        m = 1000
+        for i in range(2, m + 1):
+            p = (i - 1) / m
+            base = p ** max(math.ceil(log_delta / math.log(p)), 1)
+            for ulps in (-1, 0, 1):
+                delta = nudge(base, ulps)
+                if 0.0 < delta < 1.0:
+                    assert step_budgets(m, delta)[i - 1] == step_budget(m, i, delta)
+
+    def test_blocks_at_block_boundaries(self):
+        for m in (1, 2, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1):
+            blocks = [b.copy() for b in step_budget_blocks(m, 0.01)]
+            assert all(len(b) <= BLOCK and b.dtype == np.int64 for b in blocks)
+            assert [int(v) for b in blocks for v in b] == scalar_budgets(m, 0.01)
+
+    def test_scalar_fallback_is_rare(self, monkeypatch):
+        calls = []
+
+        def counted(m, i, delta):
+            calls.append(i)
+            return step_budget(m, i, delta)
+
+        monkeypatch.setattr(driver, "step_budget", counted)
+        budgets = step_budgets(100_000, 0.01)
+        assert len(budgets) == 100_000 and budgets[-1] == 460_515
+        assert len(calls) < 100
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError, match="m must be"):
+            step_budgets(0, 0.1)
+        for bad in (0.0, 1.0, -1.0):
+            with pytest.raises(ValueError, match="delta"):
+                step_budgets(5, bad)
 
 
 class TestBuildPlan:
