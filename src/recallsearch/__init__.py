@@ -14,7 +14,6 @@ from .analytics import (
     duality_queries,
     f_of_delta_curve,
     f_of_m_curve,
-    total_queries_closed_form,
     total_runs_closed_form,
 )
 from .driver import (
@@ -95,7 +94,6 @@ __all__ = [
     "step_budget",
     "step_budgets",
     "success_probability",
-    "total_queries_closed_form",
     "total_runs_closed_form",
     "trial_stream",
 ]

@@ -136,16 +136,6 @@ def total_runs_closed_form(m: int, delta: float) -> float:
     return 1.0 + (-math.log(delta)) * _inverse_log_ratio_sum(m)
 
 
-def total_queries_closed_form(m: int, n_states: int, delta: float) -> tuple[float, int]:
-    """(real, integerized) total oracle queries to find all m states.
-
-    The real value prices the closed-form run total; the integer value prices
-    the sum of the ceiled per-step budgets actually used by the planner.
-    """
-    report = compare_models(m, n_states, delta)
-    return report.q_real, report.q_integer
-
-
 def f_of_m_curve(
     delta: float, m_min: int, m_max: int, stride: int = 1
 ) -> list[tuple[int, float]]:

@@ -182,7 +182,7 @@ def _cmd_analyze(config: RunConfig) -> tuple[str, int]:
 
 def _cmd_simulate(config: RunConfig) -> tuple[str, int]:
     delta_step = resolve_step_delta(config.delta, config.n_marked, config.delta_mode)
-    marked = config.marked if config.marked is not None else tuple(range(config.n_marked))
+    marked = config.marked if config.marked is not None else range(config.n_marked)
     problem = ProblemInstance(n_states=config.n_states, marked=marked, delta=delta_step)
     params = derive_search_params(problem)
     plan = build_plan(problem, params)
@@ -231,7 +231,7 @@ def _cmd_quantum_check(config: RunConfig) -> tuple[str, int]:
     while n <= config.max_n:
         n_worst = 0.0
         for m in sorted({1, 2, 3, n // 4, n // 2, n}):
-            problem = ProblemInstance(n_states=n, marked=tuple(range(m)), delta=0.5)
+            problem = ProblemInstance(n_states=n, marked=range(m), delta=0.5)
             params = derive_search_params(problem)
             for representation in (SUBSPACE, FULL):
                 p = success_probability(problem, params, representation)

@@ -17,28 +17,6 @@ from .analytics import total_runs_closed_form
 from .driver import Budgeted, IdealSampler, TrialOutcome, build_plan, execute_trial
 from .search import ProblemInstance, derive_search_params
 
-# Upper-tail chi-square critical values at significance 0.001, dof 1..64.
-# Embedded so the uniformity test needs no special-functions dependency.
-_CHI2_CRIT_001 = (
-    10.827566, 13.815511, 16.266236, 18.466827,
-    20.515006, 22.457744, 24.321886, 26.124482,
-    27.877165, 29.588298, 31.264134, 32.909490,
-    34.528179, 36.123274, 37.697298, 39.252355,
-    40.790217, 42.312396, 43.820196, 45.314747,
-    46.797038, 48.267942, 49.728232, 51.178598,
-    52.619656, 54.051962, 55.476020, 56.892285,
-    58.301173, 59.703064, 61.098306, 62.487219,
-    63.870099, 65.247217, 66.618829, 67.985168,
-    69.346452, 70.702887, 72.054663, 73.401958,
-    74.744938, 76.083763, 77.418578, 78.749524,
-    80.076732, 81.400326, 82.720423, 84.037134,
-    85.350565, 86.660815, 87.967980, 89.272151,
-    90.573412, 91.871847, 93.167533, 94.460545,
-    95.750954, 97.038829, 98.324234, 99.607233,
-    100.887885, 102.166248, 103.442377, 104.716325,
-)
-
-
 @dataclass(frozen=True)
 class TrialStats:
     """Aggregate of a trial batch; rates are paired with binomial standard
@@ -140,11 +118,36 @@ def chi_square_uniformity(counts: Sequence[int]) -> tuple[float, int, bool]:
             f"undersampled: total count {total} is below 5x categories ({5 * k})"
         )
     dof = k - 1
-    if dof > len(_CHI2_CRIT_001):
-        raise ValueError(f"critical-value table covers dof <= {len(_CHI2_CRIT_001)}")
     expected = total / k
     statistic = sum((c - expected) ** 2 for c in counts) / expected
-    return statistic, dof, statistic < _CHI2_CRIT_001[dof - 1]
+    return statistic, dof, statistic < chi_square_critical(dof)
+
+
+def chi_square_critical(dof: int) -> float:
+    """Chi-square critical value at significance 0.001: 2y with Q(dof/2, y) =
+    0.001, Q the regularized upper incomplete gamma: Newton on ln Q from
+    Wilson-Hilferty (3.0902... is the 0.999 normal quantile), Q = y h pdf(y),
+    h by Numerical Recipes' continued fraction, accurate at y >= a; root > a."""
+    a, w = dof / 2.0, 2.0 / (9.0 * dof)
+    y = a * (1.0 - w + 3.090232306167813 * math.sqrt(w)) ** 3
+    for _ in range(100):
+        b = y + 1.0 - a
+        c, d = math.inf, 1.0 / b
+        h = d
+        for i in range(1, 10**6):
+            an = -i * (i - a)
+            b += 2.0
+            d = 1.0 / (an * d + b)
+            c = b + an / c
+            h *= c * d
+            if abs(c * d - 1.0) <= 1e-15:
+                break
+        log_q = math.log(y * h) + (a - 1.0) * math.log(y) - y - math.lgamma(a)
+        step = (log_q - math.log(0.001)) * y * h
+        y = max(y + step, y / 2)  # halving keeps y > 0
+        if abs(step) <= 1e-15 * y:
+            break
+    return 2.0 * y
 
 
 def empirical_vs_closed_form(

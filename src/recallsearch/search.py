@@ -15,8 +15,9 @@ cross-check, capped at ``FULL_MAX_N`` amplitudes.
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -36,22 +37,32 @@ FULL_MAX_N = 2**22
 @dataclass(frozen=True)
 class ProblemInstance:
     """A search problem: N states, the marked index set, and the per-step
-    failure tolerance delta used when planning retries."""
+    failure tolerance delta used when planning retries. ``marked`` is kept
+    as a unit-step range (checked in O(1)) when it is one or runs upward by
+    one, else as a tuple of ints, so equal ordered sets make equal problems."""
 
     n_states: int
-    marked: tuple[int, ...]
+    marked: range | tuple[int, ...]
     delta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "marked", tuple(map(int, self.marked)))
+        marked = self.marked
+        if not (isinstance(marked, range) and marked.step == 1):
+            marked = tuple(map(int, marked))
         if self.n_states < 1:
             raise ValueError(f"n_states must be >= 1, got {self.n_states}")
-        m = len(self.marked)
+        m = len(marked)
         if not 1 <= m <= self.n_states:
             raise ValueError(f"need 1 <= m <= N, got m={m}, N={self.n_states}")
-        if len(set(self.marked)) != m:
-            raise ValueError("marked indices must be distinct")
-        if min(self.marked) < 0 or max(self.marked) >= self.n_states:
+        if isinstance(marked, tuple):
+            if len(set(marked)) != m:
+                raise ValueError("marked indices must be distinct")
+            if marked == tuple(range(marked[0], marked[0] + m)):
+                marked = range(marked[0], marked[0] + m)
+        object.__setattr__(self, "marked", marked)
+        lo, hi = ((marked[0], marked[-1]) if isinstance(marked, range)
+                  else (min(marked), max(marked)))
+        if lo < 0 or hi >= self.n_states:
             raise ValueError(f"marked indices must lie in [0, {self.n_states})")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
@@ -90,22 +101,21 @@ class SearchParams:
 @dataclass(frozen=True)
 class QuantumState:
     """The simulated register: complex amplitudes in one of two forms.
-
     Instances are immutable; operators return new states. Construction
-    checks normalization, so every operator application re-validates the
-    unit-norm invariant.
-    """
+    copies the amplitudes, unless ``_owned`` hands over a complex128 array
+    the library just made, and checks normalization."""
 
     representation: str
     amplitudes: np.ndarray
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _owned):
         if self.representation not in REPRESENTATIONS:
             raise ValueError(f"unknown representation: {self.representation!r}")
-        amps = np.array(self.amplitudes, dtype=np.complex128)
+        amps = self.amplitudes if _owned else np.array(self.amplitudes, dtype=np.complex128)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-        norm = float(np.sum(np.abs(amps) ** 2))
+        norm = float(np.vdot(amps, amps).real)
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state is not normalized: sum |a|^2 = {norm!r}")
 
@@ -141,37 +151,31 @@ def derive_search_params(problem: ProblemInstance) -> SearchParams:
 
 def prepare_uniform(problem: ProblemInstance, representation: str = FULL) -> QuantumState:
     """Uniform superposition over all N basis states."""
+    return QuantumState(representation, _uniform_amplitudes(problem, representation), _owned=True)
+
+
+def _uniform_amplitudes(problem: ProblemInstance, representation: str) -> np.ndarray:
     n, m = problem.n_states, problem.n_marked
     if representation == FULL:
         if n > FULL_MAX_N:
             raise ValueError(f"full representation is capped at N <= {FULL_MAX_N}, got {n}")
-        amps = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
-    elif representation == SUBSPACE:
-        amps = np.array(
-            [math.sqrt(m / n), math.sqrt((n - m) / n)], dtype=np.complex128
-        )
-    else:
-        raise ValueError(f"unknown representation: {representation!r}")
-    return QuantumState(representation, amps)
+        return np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
+    if representation == SUBSPACE:
+        return np.array([math.sqrt(m / n), math.sqrt((n - m) / n)], dtype=np.complex128)
+    raise ValueError(f"unknown representation: {representation!r}")
 
 
-def apply_oracle_phase(
-    state: QuantumState, problem: ProblemInstance, phi: float
-) -> QuantumState:
+def apply_oracle_phase(state: QuantumState, problem: ProblemInstance, phi: float) -> QuantumState:
     """One oracle query: rotate every marked amplitude by e^{i phi}."""
     _check_shape(state, problem)
-    phase = complex(math.cos(phi), math.sin(phi))
+    marked = _marked_selector(problem) if state.representation == FULL else 0
     amps = np.array(state.amplitudes)
-    if state.representation == FULL:
-        amps[np.fromiter(problem.marked, dtype=np.intp)] *= phase
-    else:
-        amps[0] *= phase
-    return QuantumState(state.representation, amps)
+    _full_round(amps, marked, complex(math.cos(phi), math.sin(phi)), None)
+    return QuantumState(state.representation, amps, _owned=True)
 
 
-def apply_diffusion_phase(
-    state: QuantumState, problem: ProblemInstance, phi: float
-) -> QuantumState:
+def apply_diffusion_phase(state: QuantumState, problem: ProblemInstance,
+                          phi: float) -> QuantumState:
     """Conditional phase rotation about the uniform superposition.
 
     Implements I - (1 - e^{i phi}) |u><u| with |u> uniform over all N states;
@@ -182,37 +186,44 @@ def apply_diffusion_phase(
     c = 1.0 - complex(math.cos(phi), math.sin(phi))
     amps = np.array(state.amplitudes)
     if state.representation == FULL:
-        amps -= c * amps.mean()
+        _full_round(amps, None, None, c)
     else:
         n, m = problem.n_states, problem.n_marked
         ua, ub = math.sqrt(m / n), math.sqrt((n - m) / n)
         overlap = ua * amps[0] + ub * amps[1]
         amps[0] -= c * overlap * ua
         amps[1] -= c * overlap * ub
-    return QuantumState(state.representation, amps)
+    return QuantumState(state.representation, amps, _owned=True)
 
 
-def final_state(
-    problem: ProblemInstance, params: SearchParams, representation: str = FULL
-) -> QuantumState:
+def _full_round(amps: np.ndarray, marked, oracle: complex | None, diffusion: complex | None):
+    """One FULL round in place; a None factor skips its half. marked=0: the SUBSPACE oracle."""
+    if oracle is not None:
+        amps[marked] *= oracle
+    if diffusion is not None:
+        amps -= diffusion * amps.mean()
+
+
+def _marked_selector(problem: ProblemInstance) -> slice | np.ndarray:
+    """The marked amplitudes of a FULL state: a slice (a view) for a range."""
+    marked = problem.marked
+    if isinstance(marked, range):
+        return slice(marked.start, marked.stop)
+    return np.array(marked, dtype=np.intp)
+
+
+def final_state(problem: ProblemInstance, params: SearchParams,
+                representation: str = FULL) -> QuantumState:
     """State after one full run's iterations, just before measurement. The
     unit norm is checked once, on the result."""
-    state = prepare_uniform(problem, representation)
     k, phi = params.iterations, params.phi
-    if k == 0:
-        return state
-    if representation == SUBSPACE:
-        return QuantumState(SUBSPACE, _subspace_power(problem, phi, k))
-    amps = np.array(state.amplitudes)
-    marked = np.fromiter(problem.marked, dtype=np.intp)
-    phase = complex(math.cos(phi), math.sin(phi))
-    c = 1.0 - phase
-    # the arithmetic of apply_oracle_phase then apply_diffusion_phase, so the
-    # result is bit-identical to applying those operators round by round
+    if representation == SUBSPACE and k:
+        return QuantumState(SUBSPACE, _subspace_power(problem, phi, k), _owned=True)
+    amps = _uniform_amplitudes(problem, representation)
+    marked, phase = _marked_selector(problem), complex(math.cos(phi), math.sin(phi))
     for _ in range(k):
-        amps[marked] *= phase
-        amps -= c * amps.mean()
-    return QuantumState(FULL, amps)
+        _full_round(amps, marked, phase, 1.0 - phase)
+    return QuantumState(representation, amps, _owned=True)
 
 
 def _subspace_power(problem: ProblemInstance, phi: float, k: int) -> np.ndarray:
@@ -297,8 +308,8 @@ def marked_mass(state: QuantumState, problem: ProblemInstance) -> float:
     """Total probability of measuring a marked index in the given state."""
     _check_shape(state, problem)
     if state.representation == FULL:
-        idx = np.fromiter(problem.marked, dtype=np.intp)
-        return float(np.sum(np.abs(state.amplitudes[idx]) ** 2))
+        mass = np.abs(state.amplitudes[_marked_selector(problem)])
+        return float(np.sum(np.square(mass, out=mass)))
     return float(abs(state.amplitudes[0]) ** 2)
 
 
@@ -317,11 +328,9 @@ def _check_shape(state: QuantumState, problem: ProblemInstance) -> None:
 
 
 def _unmarked_at(problem: ProblemInstance, k: int) -> int:
-    """The k-th (0-based, ascending) basis index outside the marked set."""
-    idx = k
-    for marked in sorted(problem.marked):
-        if marked <= idx:
-            idx += 1
-        else:
-            break
-    return idx
+    """The k-th (0-based, ascending) basis index outside the marked set. The
+    i-th smallest marked index s (from i = 0) has s - i unmarked ones below it."""
+    marked = problem.marked
+    if isinstance(marked, range):
+        return k if k < marked.start else k + len(marked)
+    return k + bisect.bisect_right([s - i for i, s in enumerate(sorted(marked))], k)

@@ -14,7 +14,6 @@ from recallsearch.analytics import (
     exact_sum,
     f_of_delta_curve,
     f_of_m_curve,
-    total_queries_closed_form,
     total_runs_closed_form,
 )
 from recallsearch.driver import BLOCK, step_budget
@@ -91,18 +90,21 @@ class TestTotalRuns:
 
 class TestTotalQueries:
     def test_single_marked_n4(self):
-        q_real, q_int = total_queries_closed_form(1, 4, 0.01)
+        report = compare_models(1, 4, 0.01)
+        q_real, q_int = report.q_real, report.q_integer
         assert q_real == 2.0
         assert q_int == 2
 
     def test_m2_n1024(self):
-        q_real, q_int = total_queries_closed_form(2, 1024, 0.01)
+        report = compare_models(2, 1024, 0.01)
+        q_real, q_int = report.q_real, report.q_integer
         assert q_real == pytest.approx(total_runs_closed_form(2, 0.01) * 19, rel=1e-12)
         assert q_real == pytest.approx(145.23, abs=0.01)
         assert q_int == 8 * 19
 
     def test_all_marked_costs_nothing(self):
-        q_real, q_int = total_queries_closed_form(64, 64, 0.01)
+        report = compare_models(64, 64, 0.01)
+        q_real, q_int = report.q_real, report.q_integer
         assert q_real == 0.0
         assert q_int == 0
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -578,6 +579,58 @@ GOLDEN_AT_SCALE = [
 def test_output_at_scale_matches_golden_hash(argv, digest, capsys):
     assert run_cli(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# sha256 of stdout, recorded before problems kept range marked sets and FULL
+# rounds indexed the marked amplitudes by slice: the exactness sweep at the
+# benchmark's size, and explicit --marked sets, which take the index-array
+# path when unsorted and the slice path when consecutive.
+UNSORTED = "3000,17,2049,5,1024,4095,999"
+GOLDEN_MARKED = [
+    (["quantum-check", "--max-n", "131072"],
+     "282fc15883964ced735867d565574b225f3af6b0d47012673b8e6f5192fb5fb8"),
+    (["simulate", "--n", "4096", "--marked", UNSORTED, "--delta", "0.05", "--sampler",
+      "quantum", "--representation", "full", "--trials", "300", "--seed", "12"],
+     "7e0fa3f56da456f1f05774a610508fa1abf4d3eb8fb287b33624e520890a4d17"),
+    (["simulate", "--n", "4096", "--marked", UNSORTED, "--delta", "0.05", "--sampler",
+      "quantum", "--representation", "full", "--strategy", "unbounded", "--trials", "200",
+      "--seed", "13"],
+     "8eb22bc0e76b6addb8014379d6841eb57777901e724735088bce2275b7d958d2"),
+    (["simulate", "--n", "4096", "--marked", UNSORTED, "--delta", "0.05", "--sampler",
+      "quantum", "--representation", "subspace", "--trials", "300", "--seed", "12"],
+     "84d030ac8486e5bd8570bac75629feb264be11afe0c571387ebed9faead9d450"),
+    (["simulate", "--n", "4096", "--marked", UNSORTED, "--delta", "0.05", "--trials", "300",
+      "--seed", "12"],
+     "878e3082306f6229d3190d3955c7094896e4de4a3866e5a29e7538601096a5a9"),
+    (["simulate", "--n", "4096", "--marked", "7,8,9,10,11", "--delta", "0.05", "--sampler",
+      "quantum", "--representation", "full", "--trials", "300", "--seed", "15"],
+     "df106f4012c328282c0195e215fe6974af09da2fbf85ca8ec29b22d1a452611f"),
+    (["simulate", "--n", "1024", "--m", "40", "--delta", "0.05", "--sampler", "quantum",
+      "--representation", "full", "--trials", "200", "--seed", "14"],
+     "bdb3d0279c047347b363a5ff8bd085e4f93dfaf052a85e1b3357b77b571cebdd"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_MARKED, ids=[
+    "quantum-check-131072", "full-unsorted", "full-unsorted-unbounded",
+    "subspace-unsorted", "ideal-unsorted", "full-consecutive", "full-m40"])
+def test_marked_paths_match_golden_hash(argv, digest, capsys):
+    assert run_cli(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_quantum_check_memory_bound(capsys):
+    # the sweep evolves one statevector at a time, in place: at N = 2^17 that
+    # is 2 MiB of amplitudes, with no m-element index set and no copies
+    argv = ["quantum-check", "--max-n", "131072"]
+    tracemalloc.start()
+    try:
+        assert run_cli(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 6 * 2**20
 
 
 @pytest.mark.parametrize("module", ["recallsearch", "recallsearch.cli"])

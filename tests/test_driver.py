@@ -257,7 +257,7 @@ class TestExecuteTrial:
         )
         assert outcome.success
         assert outcome.runs_used == 1
-        assert outcome.found_order == prob.marked
+        assert outcome.found_order == tuple(prob.marked)
         assert outcome.failed_at_step is None
 
     def test_queries_equal_runs_times_price(self):

@@ -12,8 +12,8 @@ from recallsearch.driver import (
     build_plan,
 )
 from recallsearch.montecarlo import (
-    _CHI2_CRIT_001,
     TrialStats,
+    chi_square_critical,
     chi_square_uniformity,
     empirical_vs_closed_form,
     run_trials,
@@ -129,14 +129,23 @@ class TestChiSquare:
         with pytest.raises(ValueError, match="categories"):
             chi_square_uniformity([50])
 
-    def test_rejects_dof_beyond_table(self):
-        with pytest.raises(ValueError, match="dof"):
-            chi_square_uniformity([10] * 70)
+    def test_large_dof_is_tested(self):
+        # the critical value is computed for any dof, so m > 65 is testable
+        statistic, dof, passed = chi_square_uniformity([10] * 70)
+        assert (statistic, dof, passed) == (0.0, 69, True)
+        _, dof, passed = chi_square_uniformity([10] * 69 + [100])
+        assert dof == 69 and not passed
+        counts = np.random.default_rng(3).multinomial(200_000, [1e-4] * 10_000)
+        statistic, dof, passed = chi_square_uniformity(counts.tolist())
+        assert dof == 9999 and passed
+        assert statistic == pytest.approx(float(scipy.stats.chisquare(counts)[0]))
 
     def test_critical_values_match_scipy(self):
-        for dof in (1, 2, 7, 31, 64):
-            expected = scipy.stats.chi2.isf(0.001, dof)
-            assert _CHI2_CRIT_001[dof - 1] == pytest.approx(expected, abs=5e-6)
+        dofs = sorted(set(range(1, 1001)) | set(
+            np.geomspace(1000, 10**5, 300).round().astype(int).tolist()))
+        expected = scipy.stats.chi2.isf(0.001, dofs)
+        for dof, value in zip(dofs, expected):
+            assert chi_square_critical(dof) == pytest.approx(value, rel=1e-9, abs=0)
 
     def test_quantum_shot_histogram_is_uniform(self):
         prob = ProblemInstance(n_states=64, marked=(4, 21, 38, 55), delta=0.05)

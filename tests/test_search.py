@@ -20,6 +20,7 @@ from recallsearch.search import (
     measure,
     prepare_uniform,
     run_search_once,
+    _unmarked_at,
     search_params,
     success_probability,
 )
@@ -368,6 +369,94 @@ class TestStateAndMeasure:
         hits = sum(measure(state, prob, rng) in prob.marked for _ in range(2000))
         # uniform state: marked probability 1/4; 3-sigma band
         assert abs(hits / 2000 - 0.25) <= 3 * math.sqrt(0.25 * 0.75 / 2000)
+
+
+class TestRangeMarked:
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(min_value=1, max_value=12), data=st.data())
+    def test_range_and_tuple_give_equal_runs(self, k, data):
+        n = 2**k
+        a = data.draw(st.integers(min_value=0, max_value=n - 1))
+        b = data.draw(st.integers(min_value=a + 1, max_value=n))
+        as_range = ProblemInstance(n_states=n, marked=range(a, b), delta=0.1)
+        as_tuple = ProblemInstance(n_states=n, marked=tuple(range(a, b)), delta=0.1)
+        assert as_range == as_tuple and hash(as_range) == hash(as_tuple)
+        params = derive_search_params(as_range)
+        for rep in (FULL, SUBSPACE):
+            x = final_state(as_range, params, rep)
+            y = final_state(as_tuple, params, rep)
+            assert np.array_equal(x.amplitudes, y.amplitudes)
+            assert success_probability(as_range, params, rep) == success_probability(
+                as_tuple, params, rep)
+            rng_x, rng_y = trial_stream(k, b), trial_stream(k, b)
+            assert [measure(x, as_range, rng_x) for _ in range(20)] == [
+                measure(y, as_tuple, rng_y) for _ in range(20)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(min_value=1, max_value=12), data=st.data())
+    def test_slice_rounds_equal_index_array_rounds(self, k, data):
+        # the reference indexes the marked amplitudes with an index array,
+        # as every FULL round did before a range became a slice
+        n = 2**k
+        a = data.draw(st.integers(min_value=0, max_value=n - 1))
+        b = data.draw(st.integers(min_value=a + 1, max_value=n))
+        prob = ProblemInstance(n_states=n, marked=range(a, b), delta=0.1)
+        params = derive_search_params(prob)
+        idx = np.arange(a, b, dtype=np.intp)
+        amps = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
+        phase = complex(math.cos(params.phi), math.sin(params.phi))
+        for _ in range(params.iterations):
+            amps[idx] *= phase
+            amps -= (1.0 - phase) * amps.mean()
+        state = final_state(prob, params, FULL)
+        assert np.array_equal(state.amplitudes, amps)
+        assert marked_mass(state, prob) == float(np.sum(np.abs(amps[idx]) ** 2))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_unmarked_index_matches_a_linear_scan(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=64))
+        marked = data.draw(st.one_of(
+            st.builds(lambda a, m: range(a, min(a + m, n)),
+                      st.integers(0, n - 2), st.integers(1, n - 1)),
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1, unique=True)))
+        prob = ProblemInstance(n_states=n, marked=marked, delta=0.1)
+        unmarked = [i for i in range(n) if i not in set(prob.marked)]
+        assert [_unmarked_at(prob, k) for k in range(len(unmarked))] == unmarked
+
+    def test_unit_step_range_is_kept(self):
+        marked = range(2**40, 2**41)
+        prob = ProblemInstance(n_states=2**42, marked=marked, delta=0.1)
+        assert prob.marked is marked and prob.n_marked == 2**40
+        assert _unmarked_at(prob, 2**40 - 1) == 2**40 - 1
+        assert _unmarked_at(prob, 2**40) == 2**41
+
+    def test_consecutive_ascending_tuple_becomes_range(self):
+        assert ProblemInstance(n_states=8, marked=(3, 4, 5), delta=0.1).marked == range(3, 6)
+        for other in ((3, 5, 4), (5, 4, 3), (3, 5)):
+            prob = ProblemInstance(n_states=8, marked=other, delta=0.1)
+            assert prob.marked == other
+            assert prob != ProblemInstance(n_states=8, marked=range(3, 6), delta=0.1)
+
+    def test_other_steps_take_the_tuple_path(self):
+        for marked in (range(0, 10, 2), range(5, 0, -1), range(3, 4, 5)):
+            prob = ProblemInstance(n_states=16, marked=marked, delta=0.1)
+            assert prob == ProblemInstance(n_states=16, marked=tuple(marked), delta=0.1)
+        assert ProblemInstance(n_states=16, marked=range(0, 10, 2), delta=0.1).marked == (
+            0, 2, 4, 6, 8)
+
+    @pytest.mark.parametrize("marked,match", [
+        (range(0), "1 <= m"),
+        (range(3, 3), "1 <= m"),
+        (range(0, 5), "1 <= m"),
+        (range(-1, 2), "lie in"),
+        (range(2, 5), "lie in"),
+        (range(0, 6, 2), "lie in"),
+    ])
+    def test_rejects_like_the_tuple(self, marked, match):
+        for form in (marked, tuple(marked)):
+            with pytest.raises(ValueError, match=match):
+                ProblemInstance(n_states=4, marked=form, delta=0.1)
 
 
 class TestProblemValidation:
