@@ -6,12 +6,11 @@ The run total for finding all m states with per-step tolerance delta is
     1 + sum_{k=1}^{m-1} ln(1/delta) / ln(m/k)
 
 which is affine in ln(1/delta): the k-sum is computed once per m and the
-ln(1/delta) factor applied after. Its terms are evaluated in fixed-size numpy
-blocks and summed exactly (exact_sum), so the result is the exactly rounded
-sum, equal bit for bit to math.fsum of the same terms, in memory that does
-not grow with m. Query totals price each run at the exact per-run iteration
-count, giving the asymptotic sqrt(N/m) factor a concrete, reproducible
-constant.
+ln(1/delta) factor applied after. Its terms are evaluated in numpy blocks in
+buffers made once per process and summed exactly (exact_sum): the result is
+the exactly rounded sum, equal bit for bit to math.fsum of the same terms.
+Query totals price each run at the exact per-run iteration count, giving the
+asymptotic sqrt(N/m) factor a concrete, reproducible constant.
 """
 
 from __future__ import annotations
@@ -21,8 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import BLOCK, ramp_blocks, step_budget_blocks
+from .driver import BLOCK, step_budget_blocks
 from .search import search_params
+
+# The k-sum's work buffers: the ramp 1..BLOCK, the terms, and exact_sum's
+# limb and remainder. One set per process, so summing allocates nothing per
+# m; two threads must not sum at once (the program starts none).
+_RAMP = np.arange(1.0, BLOCK + 1)
+_TERMS, _LIMB, _REST = np.empty(BLOCK), np.empty(BLOCK), np.empty(BLOCK)
 
 
 @dataclass(frozen=True)
@@ -48,70 +53,58 @@ class ComplexityReport:
     duality_log_base: int = 2
 
 
-def _round_scaled(total: int, exp: int) -> float:
-    """total * 2**exp rounded once to the nearest float, ties to even."""
-    extra = total.bit_length() - 64
-    if extra > 0:  # keep 64 bits and a sticky bit: float() then rounds as if exact
-        sticky = total & ((1 << extra) - 1) != 0
-        total = (total >> extra) | sticky
-        exp += extra
-    return math.ldexp(float(total), exp)
+def _units(v: float) -> int:
+    """v as an exact integer count of 2**-1074, the smallest subnormal."""
+    num, den = v.as_integer_ratio()
+    return num << (1075 - den.bit_length())
 
 
 def exact_sum(blocks) -> float:
     """Exactly rounded sum of 1-D float64 arrays of positive finite values,
     equal bit for bit to math.fsum of their concatenation.
 
-    Every value of a block is a multiple of 2**low, low being 53 below the
-    frexp exponent of the block's smallest value, and below 2**top, top
-    being the exponent of its largest. The block is cut from the top into
-    int64 fixed-point limbs of at most 62 - bit_length(len(block)) bits
-    (floor of the rest scaled by ldexp), so each limb's sum over the block is
-    exact in int64. Limb sums are added as Python ints and the total is
-    rounded once, half to even, as fsum rounds.
+    Chunks of at most BLOCK values are cut from the top into float limbs
+    (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31(1), 2008): with
+    C = 1.5 * 2**(s + 52), q = (x + C) - C is x rounded to a multiple of
+    2**s, and x - q is exact and at most 2**(s - 1). A limb spans at most
+    `width` bits above 2**s, so its n values sum exactly while
+    n * 2**width < 2**53. Cutting stops at the chunk's lowest bit, 53 below
+    the exponent of its smallest value. Limb sums are added as integer
+    counts of 2**-1074 and rounded once, half to even, as fsum rounds. A
+    chunk too near 2**1024 for a finite C is added value by value.
     """
-    total, base = 0, None  # the sum so far is total * 2**base
-    scaled = limbs = rest = None
-    for x in blocks:
-        n = len(x)
-        if n == 0:
-            continue
-        if scaled is None or len(scaled) < n:
-            scaled, rest = np.empty(n), np.empty(n)
-            limbs = np.empty(n, dtype=np.int64)
-        y, q, r = scaled[:n], limbs[:n], rest[:n]
-        width = 62 - n.bit_length()
-        shift = math.frexp(float(x.max()))[1]
-        low = math.frexp(float(x.min()))[1] - 53
-        if base is None:
-            base = low
-        elif low < base:
-            total <<= base - low
-            base = low
-        while True:
-            shift = max(shift - width, low)
-            np.ldexp(x, -shift, out=y)
-            np.floor(y, out=y)
-            np.copyto(q, y, casting="unsafe")
-            total += int(q.sum()) << (shift - base)
-            if shift == low:
-                break
-            np.ldexp(y, shift, out=y)  # the limb's part of x, exactly
-            x = np.subtract(x, y, out=r)
-    return 0.0 if base is None else _round_scaled(total, base)
+    total = 0
+    for block in blocks:
+        for i in range(0, len(block), BLOCK):
+            x = block[i : i + BLOCK]
+            width = min(53 - len(x).bit_length(), 51)  # 51: x + C <= 2**(s+53)
+            top = math.frexp(np.maximum.reduce(x))[1]  # every x < 2**top
+            low = max(math.frexp(np.minimum.reduce(x))[1] - 53, -1074)
+            if top - width > 970:  # C or a limb sum would pass 2**1023
+                total += sum(map(_units, x.tolist()))
+                continue
+            q, rest = _LIMB[: len(x)], _REST[: len(x)]
+            while top - width > low:
+                s = top - width
+                c = math.ldexp(1.5, s + 52)
+                np.add(x, c, out=q)
+                np.subtract(q, c, out=q)
+                total += _units(np.add.reduce(q))
+                x = np.subtract(x, q, out=rest)
+                top = s - 1  # every |x| <= 2**top
+            total += _units(np.add.reduce(x))  # the last limb, on 2**low
+    return total / 2**1074  # int / int rounds correctly, overflow raises
 
 
 def _inverse_log_ratio_terms(m: int):
-    """1/log1p((m-k)/k) for k = 1..m-1, in blocks that are views of one
-    reused buffer.
-
-    log1p((m-k)/k) keeps the k ~ m terms accurate where ln(m/k) is tiny and
-    the summands are largest.
-    """
-    term = np.empty(min(m - 1, BLOCK))
-    for _, k in ramp_blocks(m - 1):
-        t = term[: len(k)]
-        np.subtract(m, k, out=t)
+    """1/log1p((m-k)/k) for k = 1..m-1, in blocks that are views of one buffer
+    made once per process. log1p keeps the k ~ m terms accurate where ln(m/k)
+    is tiny and the summands are largest. k sits in exact_sum's remainder
+    buffer, which exact_sum writes only after the block's terms are made."""
+    for start in range(0, m - 1, BLOCK):
+        c = min(BLOCK, m - 1 - start)
+        k = np.add(_RAMP[:c], start, out=_REST[:c])
+        t = np.subtract(m, k, out=_TERMS[:c])
         np.divide(t, k, out=t)
         np.log1p(t, out=t)
         yield np.divide(1.0, t, out=t)
@@ -194,12 +187,19 @@ def duality_queries(m: int, n_states: int) -> float:
     return m * math.log2(n_states / m)
 
 
+def _budget_total(blocks) -> int:
+    """Sum of int64 budget blocks without wrap-around. Budgets rise with i, so
+    a block whose last entry is under 2**62 / len(block) sums in int64 (half
+    the int64 range leaves room for a step out of order); others as ints."""
+    return sum(int(b.sum()) if b[-1] < 2**62 // len(b) else sum(b.tolist()) for b in blocks)
+
+
 def compare_models(m: int, n_states: int, delta: float) -> ComplexityReport:
     """Assemble every cost figure for one setting, plus the quantum-over-
     deletion query ratio (None when the deletion count is zero)."""
     params = search_params(n_states, m)
     r_real = total_runs_closed_form(m, delta)
-    r_int = sum(int(block.sum()) for block in step_budget_blocks(m, delta))
+    r_int = _budget_total(step_budget_blocks(m, delta))
     q_real = r_real * params.iterations
     q_int = r_int * params.iterations
     q_dual = duality_queries(m, n_states)

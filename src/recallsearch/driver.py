@@ -34,8 +34,9 @@ OVERALL = "overall"
 
 # Entries per vectorized block: the closed-form kernels work in buffers of
 # at most this many float64s, reused from block to block, so their memory
-# does not grow with m.
-BLOCK = 4096
+# does not grow with m. 16384 (128 KiB a buffer) timed fastest for the
+# k-sum, whose buffers are made once per process (analytics).
+BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -93,26 +94,18 @@ def step_budget(m: int, i: int, delta: float) -> int:
     return r
 
 
-def ramp_blocks(n: int):
-    """Yield (start, k) with k = start+1..start+c as float64, in blocks of at
-    most BLOCK that together cover 1..n. k is a view of one reused buffer."""
-    size = min(BLOCK, n)
-    ramp = np.arange(1, size + 1, dtype=np.float64)
-    k = np.empty(size)
-    for start in range(0, n, BLOCK):
-        c = min(BLOCK, n - start)
-        yield start, np.add(ramp[:c], start, out=k[:c])
-
-
 def step_budget_blocks(m: int, delta: float):
     """Yield r_1..r_m in order as int64 arrays of at most BLOCK entries, each
     equal to step_budget(m, i, delta). Each array is a view of a buffer that
     the next block overwrites.
 
-    The seed ceil(ln(1/delta) / ln(m/(i-1))) is nudged with numpy's power
-    until it is minimal. numpy's power can differ from Python's ** in the
-    last ulp, so it cannot decide p**r <= delta when p**r is that close to
-    delta: any entry whose p**r or p**(r-1) lies within the guard band
+    The seed ceil(ln(1/t) / ln(m/(i-1))) is nudged with numpy's power until
+    it is minimal. t = delta + 2**-1075, because p**r rounds to at most delta
+    while its exact value is below t; for the smallest deltas that is a
+    large share of delta, and a seed from delta alone took O(m) nudges.
+    numpy's power can differ from Python's ** in the last ulp, so it cannot
+    decide p**r <= delta when p**r is that close to delta: any entry whose
+    p**r or p**(r-1) lies within the guard band
     max(delta * 2**-40, 2**-1064) of delta is decided by the scalar
     step_budget instead. The band is about 4000 ulps wide for normal delta,
     and at least 1024 steps of the smallest subnormal for subnormal delta,
@@ -124,16 +117,19 @@ def step_budget_blocks(m: int, delta: float):
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     yield np.ones(1, dtype=np.int64)  # step 1 always turns up a new state
     size = min(BLOCK, m - 1)
-    p, r, hi, lo = (np.empty(size) for _ in range(4))
+    ramp = np.arange(1.0, size + 1)
+    k, p, r, hi, lo = (np.empty(size) for _ in range(5))
     over, under = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
     budgets = np.empty(size, dtype=np.int64)
-    log_inv_delta, log_m = -math.log(delta), math.log(m)
+    log_inv_delta = -math.log(delta) - math.log1p(2.0**-1022 / delta * 2.0**-53)  # ln(1/t)
+    log_m = math.log(m)
     guard = max(delta * 2.0**-40, 2.0**-1064)
-    for start, k in ramp_blocks(m - 1):  # k = i - 1
-        c = len(k)
+    for start in range(0, m - 1, BLOCK):
+        c = min(BLOCK, m - 1 - start)
+        k_ = np.add(ramp[:c], start, out=k[:c])  # k = i - 1
         p_, r_, hi_, lo_, over_, under_ = (a[:c] for a in (p, r, hi, lo, over, under))
-        np.divide(k, m, out=p_)
-        np.log(k, out=r_)
+        np.divide(k_, m, out=p_)
+        np.log(k_, out=r_)
         np.subtract(log_m, r_, out=r_)
         np.divide(log_inv_delta, r_, out=r_)
         np.ceil(r_, out=r_)

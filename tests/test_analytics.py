@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recallsearch.analytics import (
+    _budget_total,
     _inverse_log_ratio_sum,
+    _inverse_log_ratio_terms,
     compare_models,
     duality_queries,
     exact_sum,
@@ -268,10 +271,103 @@ class TestExactSum:
         assert exact_sum([]) == 0.0
         assert exact_sum([np.empty(0)]) == 0.0
 
-    @pytest.mark.parametrize("m", [2, 3, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1, 54_321])
+    # 4096..8193 sit around a smaller block size: sums that end mid-block
+    @pytest.mark.parametrize(
+        "m", [2, 3, 4096, 4097, 4098, 8193, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1, 54_321]
+    )
     def test_k_sum_equals_fsum_of_the_terms(self, m):
         k = np.arange(1, m, dtype=np.float64)
         assert _inverse_log_ratio_sum(m) == math.fsum(1.0 / np.log1p((m - k) / k))
+
+    def test_the_ends_of_the_float_range(self):
+        # a grid near 2**1024 would need C = 1.5 * 2**(s + 52) past the float
+        # range; these chunks are added value by value
+        for x in (
+            np.array([5e-324, 1.7976931348623157e308]),
+            np.array([2.0**1023]),
+            np.array([1.5 * 2.0**1022]),  # one value: the width cap keeps x + C finite
+            np.concatenate([[2.0**1023], np.full(BLOCK - 1, 5e-324)]),
+        ):
+            assert exact_sum([x]) == math.fsum(x)
+        x = np.ldexp(1.0, np.arange(1023, 970, -1))
+        assert exact_sum([x]) == math.fsum(x) == sys.float_info.max
+
+    def test_a_block_of_2_pow_1023_overflows_as_fsum_does(self):
+        x = np.full(BLOCK, 2.0**1023)
+        with pytest.raises(OverflowError):
+            math.fsum(x)
+        with pytest.raises(OverflowError):
+            exact_sum([x])
+
+    def test_the_highest_grid_the_limbs_reach(self):
+        # top 1008 at BLOCK puts the first grid at 2**970, C at 1.5 * 2**1022;
+        # the subnormals make the remainder run down to 2**-1074
+        rng = np.random.default_rng(7)
+        x = np.ldexp(1.0 + rng.random(BLOCK), 1007)
+        x[::3] = np.ldexp(1.0 + rng.random(len(x[::3])), -1060)
+        assert exact_sum([x]) == math.fsum(x)
+
+    def test_all_subnormal_block(self):
+        x = np.ldexp(np.random.default_rng(8).random(BLOCK), -1022)
+        x = x[x > 0]
+        assert exact_sum([x]) == math.fsum(x)
+        assert exact_sum([np.full(BLOCK, 5e-324)]) == BLOCK * 5e-324
+
+    def test_values_halfway_between_grid_points(self):
+        # with top 1 and BLOCK values the first grid is 2**-37: every other
+        # value is an odd multiple of 2**-38, so each rounding is a tie
+        rng = np.random.default_rng(9)
+        x = np.ldexp(2.0 * rng.integers(0, 2**37, size=BLOCK) + 1.0, -38)
+        x[0] = 1.75
+        assert exact_sum([x]) == math.fsum(x)
+        assert exact_sum([np.array([1.5, 3 * 2.0**-51])]) == math.fsum([1.5, 3 * 2.0**-51])
+
+    def test_the_first_limb_at_its_bound(self):
+        # BLOCK - 1 values below 1 give width 39 and the grid 2**-39: the limb
+        # sums nearly 2**53 units of it, so one more bit of width would round
+        for seed in range(4):
+            j = np.random.default_rng(seed).integers(1, 2**12, size=BLOCK - 1)
+            x = 1.0 - np.ldexp(j.astype(np.float64), -40)
+            assert exact_sum([x]) == math.fsum(x)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_the_last_limb_at_its_bound(self, sign):
+        # grid 2**-13 from the top value 1.5 * 2**24; every other remainder is
+        # 2**-14 - 2**-52 (sign 1) or its negative, so the last limb sums
+        # BLOCK - 1 values of nearly 2**38 units of 2**-52: close to 2**52
+        x = np.full(BLOCK, 1.0 + 2.0**-14 - sign * 2.0**-52)
+        x[0] = 1.5 * 2.0**24
+        assert exact_sum([x]) == math.fsum(x)
+
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_lengths_around_block(self, n):
+        rng = np.random.default_rng(n)
+        x = np.ldexp(1.0 + rng.random(n), rng.integers(-40, 41, size=n))
+        assert exact_sum([x]) == exact_sum(in_blocks(x)) == math.fsum(x)
+
+    def test_k_sum_buffers_are_made_once_per_process(self):
+        # blocks of different m share one buffer, and a three-block k-sum
+        # allocates no BLOCK-sized array
+        assert np.shares_memory(
+            next(_inverse_log_ratio_terms(3 * BLOCK)), next(_inverse_log_ratio_terms(BLOCK))
+        )
+        tracemalloc.start()
+        try:
+            _inverse_log_ratio_sum(3 * BLOCK + 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < BLOCK * 8 // 4
+
+    def test_fig1_curve_memory(self):
+        tracemalloc.start()
+        try:
+            curve = f_of_m_curve(0.01, 1, 100_000, 100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(curve) == 1001
+        assert peak < 2**20
 
     def test_compare_models_memory_does_not_grow_with_m(self):
         tracemalloc.start()
@@ -282,3 +378,21 @@ class TestExactSum:
             tracemalloc.stop()
         assert report.r_integer >= report.r_real
         assert peak < 4 * 2**20
+
+
+class TestBudgetTotal:
+    def test_does_not_wrap_int64(self):
+        # four budgets of 2**62 sum to 2**64, past int64
+        rising = np.array([1, 2, 2**62, 2**62, 2**62, 2**62], dtype=np.int64)
+        assert _budget_total([np.ones(1, dtype=np.int64), rising]) == 4 + 2**64
+        assert _budget_total([np.full(BLOCK, 2**62 - 1, dtype=np.int64)]) == BLOCK * (2**62 - 1)
+        assert _budget_total([np.full(4, 2**61, dtype=np.int64)]) == 2**63
+
+    def test_int64_path_just_below_the_switch(self):
+        budget = 2**62 // BLOCK - 1
+        assert _budget_total([np.full(BLOCK, budget, dtype=np.int64)]) == BLOCK * budget
+
+    def test_compare_models_totals_the_step_budgets(self):
+        for m, delta in [(2, 0.01), (BLOCK + 2, 1e-300)]:
+            expected = sum(step_budget(m, i, delta) for i in range(1, m + 1))
+            assert compare_models(m, 2**40, delta).r_integer == expected

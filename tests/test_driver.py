@@ -143,6 +143,15 @@ class TestStepBudgets:
                 if 0.0 < delta < 1.0:
                     assert step_budgets(m, delta)[i - 1] == step_budget(m, i, delta)
 
+    def test_subnormal_delta_takes_few_nudges(self, monkeypatch):
+        # p**r rounds to 5e-324 up to p**r = 1.5 * 5e-324; seeded from delta
+        # alone, the steps near i = m were about 0.4 * m nudges off, each one
+        # a numpy power over the whole block
+        power, calls = np.power, []
+        monkeypatch.setattr(np, "power", lambda *a, **kw: (calls.append(1), power(*a, **kw))[1])
+        assert step_budgets(20_000, 5e-324) == tuple(scalar_budgets(20_000, 5e-324))
+        assert len(calls) < 20
+
     def test_blocks_at_block_boundaries(self):
         for m in (1, 2, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1):
             blocks = [b.copy() for b in step_budget_blocks(m, 0.01)]
