@@ -20,13 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import BLOCK, step_budget_blocks
+from .driver import BLOCK, budget_term_blocks, inverse_log_ratio_block
 from .search import search_params
 
-# The k-sum's work buffers: the ramp 1..BLOCK, the terms, and exact_sum's
-# limb and remainder. One set per process, so summing allocates nothing per
-# m; two threads must not sum at once (the program starts none).
-_RAMP = np.arange(1.0, BLOCK + 1)
+# The k-sum's work buffers: the terms, and exact_sum's limb and remainder.
+# One set per process, so summing allocates nothing per m; two threads must
+# not sum at once (the program starts none).
 _TERMS, _LIMB, _REST = np.empty(BLOCK), np.empty(BLOCK), np.empty(BLOCK)
 
 
@@ -97,17 +96,12 @@ def exact_sum(blocks) -> float:
 
 
 def _inverse_log_ratio_terms(m: int):
-    """1/log1p((m-k)/k) for k = 1..m-1, in blocks that are views of one buffer
-    made once per process. log1p keeps the k ~ m terms accurate where ln(m/k)
-    is tiny and the summands are largest. k sits in exact_sum's remainder
-    buffer, which exact_sum writes only after the block's terms are made."""
+    """1/log1p((m-k)/k) for k = 1..m-1 in views of one buffer made once per
+    process. k sits in exact_sum's remainder buffer, which exact_sum writes
+    only after the block's terms are made."""
     for start in range(0, m - 1, BLOCK):
         c = min(BLOCK, m - 1 - start)
-        k = np.add(_RAMP[:c], start, out=_REST[:c])
-        t = np.subtract(m, k, out=_TERMS[:c])
-        np.divide(t, k, out=t)
-        np.log1p(t, out=t)
-        yield np.divide(1.0, t, out=t)
+        yield inverse_log_ratio_block(m, start, _REST[:c], _TERMS[:c])
 
 
 def _inverse_log_ratio_sum(m: int) -> float:
@@ -188,18 +182,30 @@ def duality_queries(m: int, n_states: int) -> float:
 
 
 def _budget_total(blocks) -> int:
-    """Sum of int64 budget blocks without wrap-around. Budgets rise with i, so
-    a block whose last entry is under 2**62 / len(block) sums in int64 (half
-    the int64 range leaves room for a step out of order); others as ints."""
-    return sum(int(b.sum()) if b[-1] < 2**62 // len(b) else sum(b.tolist()) for b in blocks)
+    """Exact sum of integer-valued budget blocks, float64 or int64. Budgets rise
+    with i, so a block whose last entry is under 2**52 / len(block) sums in
+    its own type (float64 is exact to 2**53, and half that leaves room for a
+    step out of order); others as Python ints, so int64 cannot wrap either."""
+    return sum(int(b.sum()) if b[-1] < 2**52 // len(b) else sum(map(int, b.tolist()))
+               for b in blocks)
 
 
 def compare_models(m: int, n_states: int, delta: float) -> ComplexityReport:
     """Assemble every cost figure for one setting, plus the quantum-over-
-    deletion query ratio (None when the deletion count is zero)."""
+    deletion query ratio (None when the deletion count is zero). Each block
+    of k-sum terms also gives its step budgets, so one pass over k makes both."""
     params = search_params(n_states, m)
-    r_real = total_runs_closed_form(m, delta)
-    r_int = _budget_total(step_budget_blocks(m, delta))
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    r_int = 1  # step 1
+
+    def terms():  # each block's budgets are totalled before exact_sum reuses _LIMB
+        nonlocal r_int
+        for y, u in budget_term_blocks(m, delta, _REST, _TERMS, _LIMB):
+            r_int += _budget_total([u])
+            yield y
+
+    r_real = 1.0 + (-math.log(delta)) * exact_sum(terms())
     q_real = r_real * params.iterations
     q_int = r_int * params.iterations
     q_dual = duality_queries(m, n_states)

@@ -23,7 +23,7 @@ import json
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import NamedTuple
 
@@ -142,7 +142,8 @@ def _fmt(value) -> str:
 
 
 def _report_row(report) -> dict:
-    return {("N" if k == "n_states" else k): v for k, v in asdict(report).items()}
+    names = (f.name for f in fields(report))
+    return {("N" if k == "n_states" else k): getattr(report, k) for k in names}
 
 
 def _json_text(payload: dict) -> str:

@@ -34,9 +34,10 @@ OVERALL = "overall"
 
 # Entries per vectorized block: the closed-form kernels work in buffers of
 # at most this many float64s, reused from block to block, so their memory
-# does not grow with m. 16384 (128 KiB a buffer) timed fastest for the
-# k-sum, whose buffers are made once per process (analytics).
+# does not grow with m; 16384 (128 KiB a buffer) timed fastest for the
+# k-sum. RAMP, 1..BLOCK, is made once per process; the kernels offset it.
 BLOCK = 16384
+RAMP = np.arange(1.0, BLOCK + 1)
 
 
 @dataclass(frozen=True)
@@ -94,72 +95,64 @@ def step_budget(m: int, i: int, delta: float) -> int:
     return r
 
 
+def inverse_log_ratio_block(m: int, start: int, k, out):
+    """1/ln(m/k) for k = start+1..start+len(out), into out, as 1/log1p((m-k)/k):
+    log1p keeps the k ~ m terms accurate, where ln(m/k) is tiny and the terms
+    are largest. k is a work buffer as long as out."""
+    np.add(RAMP[: len(out)], start, out=k)
+    np.subtract(m, k, out=out)
+    np.divide(out, k, out=out)
+    np.log1p(out, out=out)
+    return np.divide(1.0, out, out=out)
+
+
+def budget_term_blocks(m: int, delta: float, k, y, u):
+    """Yield (terms, budgets) for i = 2..m, k = i - 1, BLOCK at a time, as views
+    of the float64 buffers y and u that the next block overwrites: the terms
+    y = 1/ln(m/k) of inverse_log_ratio_block, and r_i = step_budget(m, i,
+    delta) as floats, read off y. k is a work buffer; each buffer holds at
+    least min(BLOCK, m - 1) entries.
+
+    Let L = ln(1/delta) and l = -ln p, p = fl(k/m). pow is within an ulp of
+    p**r, so pow(p, r) <= delta if r*l > L, and pow(p, r) > delta if
+    r*l < L - s, s = ln(1 + max(2**-51, 2**-1073 / delta)): twice the ulp at
+    delta, 2**-52 * delta, or 2**-1074 where delta is subnormal. y is 1/l to
+    a few 2**-53 relative (rounding of (m-k)/k, log1p and the division) plus
+    m * 2**-53, because rounding p moves l by up to 2**-53 and l > 1/m.
+    slack = 2**-40 + m * 2**-50 covers these and the products' rounding, so
+    every r >= hi*y passes, hi = L * (1 + slack), and every r <= lo*y fails,
+    lo = L * (1 - slack) - s. Where ceil(hi*y) == ceil(lo*y) that is r_i;
+    elsewhere the scalar step_budget decides. lo is floored at 2**-1000, as
+    r = 0 is never a candidate: at delta = 1 - 2**-53, L < s would send every
+    step to the scalar. The scalar takes about s * sum(y) steps: a handful
+    for normal delta, hundreds at delta = 1e-320 and m = 1e5, and nearly all
+    at delta = 5e-324, where pow returns delta for every p**r below
+    1.5 * 2**-1074, so s = ln 3 and the float terms cannot tell r apart.
+    """
+    log_inv_delta, slack = -math.log(delta), 2.0**-40 + m * 2.0**-50
+    s = math.log1p(max(2.0**-51, 2.0**-1073 / delta))
+    hi, lo = log_inv_delta * (1.0 + slack), max(log_inv_delta * (1.0 - slack) - s, 2.0**-1000)
+    for start in range(0, m - 1, BLOCK):
+        c = min(BLOCK, m - 1 - start)
+        y_, u_, w = inverse_log_ratio_block(m, start, k[:c], y[:c]), u[:c], k[:c]
+        np.ceil(np.multiply(y_, hi, out=u_), out=u_)
+        np.ceil(np.multiply(y_, lo, out=w), out=w)
+        for j in np.flatnonzero(np.subtract(u_, w, out=w)).tolist():
+            u_[j] = step_budget(m, start + j + 2, delta)
+        yield y_, u_
+
+
 def step_budget_blocks(m: int, delta: float):
     """Yield r_1..r_m in order as int64 arrays of at most BLOCK entries, each
-    equal to step_budget(m, i, delta). Each array is a view of a buffer that
-    the next block overwrites.
-
-    The seed ceil(ln(1/t) / ln(m/(i-1))) is nudged with numpy's power until
-    it is minimal. t = delta + 2**-1075, because p**r rounds to at most delta
-    while its exact value is below t; for the smallest deltas that is a
-    large share of delta, and a seed from delta alone took O(m) nudges.
-    numpy's power can differ from Python's ** in the last ulp, so it cannot
-    decide p**r <= delta when p**r is that close to delta: any entry whose
-    p**r or p**(r-1) lies within the guard band
-    max(delta * 2**-40, 2**-1064) of delta is decided by the scalar
-    step_budget instead. The band is about 4000 ulps wide for normal delta,
-    and at least 1024 steps of the smallest subnormal for subnormal delta,
-    where one ulp is a large relative error.
-    """
+    equal to step_budget(m, i, delta); see budget_term_blocks."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     yield np.ones(1, dtype=np.int64)  # step 1 always turns up a new state
     size = min(BLOCK, m - 1)
-    ramp = np.arange(1.0, size + 1)
-    k, p, r, hi, lo = (np.empty(size) for _ in range(5))
-    over, under = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
-    budgets = np.empty(size, dtype=np.int64)
-    log_inv_delta = -math.log(delta) - math.log1p(2.0**-1022 / delta * 2.0**-53)  # ln(1/t)
-    log_m = math.log(m)
-    guard = max(delta * 2.0**-40, 2.0**-1064)
-    for start in range(0, m - 1, BLOCK):
-        c = min(BLOCK, m - 1 - start)
-        k_ = np.add(ramp[:c], start, out=k[:c])  # k = i - 1
-        p_, r_, hi_, lo_, over_, under_ = (a[:c] for a in (p, r, hi, lo, over, under))
-        np.divide(k_, m, out=p_)
-        np.log(k_, out=r_)
-        np.subtract(log_m, r_, out=r_)
-        np.divide(log_inv_delta, r_, out=r_)
-        np.ceil(r_, out=r_)
-        np.maximum(r_, 1.0, out=r_)
-        while True:  # raise r while p**r > delta
-            np.power(p_, r_, out=hi_)
-            np.greater(hi_, delta, out=over_)
-            if not over_.any():
-                break
-            r_ += over_
-        while True:  # lower r while p**(r-1) <= delta; p**0 = 1 stops it at 1
-            np.subtract(r_, 1.0, out=lo_)
-            np.power(p_, lo_, out=lo_)
-            np.less_equal(lo_, delta, out=under_)
-            if not under_.any():
-                break
-            r_ -= under_
-            np.copyto(hi_, lo_, where=under_)
-        out = budgets[:c]
-        np.copyto(out, r_, casting="unsafe")
-        np.equal(r_, 1.0, out=under_)  # p**0 = 1 exactly: nothing to decide
-        np.copyto(lo_, np.inf, where=under_)
-        for p_r in (hi_, lo_):  # distance of p**r and p**(r-1) from delta
-            np.subtract(p_r, delta, out=p_r)
-            np.abs(p_r, out=p_r)
-        np.minimum(hi_, lo_, out=hi_)
-        np.less_equal(hi_, guard, out=over_)
-        for j in np.flatnonzero(over_).tolist():
-            out[j] = step_budget(m, start + j + 2, delta)
-        yield out
+    for _, u in budget_term_blocks(m, delta, *(np.empty(size) for _ in range(3))):
+        yield u.astype(np.int64)
 
 
 def step_budgets(m: int, delta: float) -> tuple[int, ...]:

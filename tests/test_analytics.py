@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recallsearch.analytics import (
@@ -20,6 +20,7 @@ from recallsearch.analytics import (
     total_runs_closed_form,
 )
 from recallsearch.driver import BLOCK, step_budget
+from test_driver import DELTAS
 
 
 def direct_run_total(m, delta):
@@ -396,3 +397,33 @@ class TestBudgetTotal:
         for m, delta in [(2, 0.01), (BLOCK + 2, 1e-300)]:
             expected = sum(step_budget(m, i, delta) for i in range(1, m + 1))
             assert compare_models(m, 2**40, delta).r_integer == expected
+
+    def test_integer_valued_float_blocks(self):
+        # the float64 sum is exact below the switch; above it, two budgets
+        # of 2**53 - 1 would round to 2**54 in float64
+        budget = 2**52 // BLOCK - 1
+        assert _budget_total([np.full(BLOCK, float(budget))]) == BLOCK * budget
+        rising = np.array([1.0, 2.0**53 - 1, 2.0**53 - 1])
+        assert _budget_total([rising]) == 2**54 - 1
+
+
+class TestOnePass:
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(min_value=1, max_value=3 * BLOCK + 1), delta=DELTAS)
+    @example(m=3 * BLOCK + 1, delta=1e-320)
+    @example(m=BLOCK + 2, delta=1 - 2**-53)
+    @example(m=2 * BLOCK + 1, delta=5e-324)
+    def test_budgets_and_run_total_from_one_pass(self, m, delta):
+        # compare_models reads the budgets off the k-sum's own terms
+        report = compare_models(m, 2**40, delta)
+        assert report.r_integer == sum(step_budget(m, i, delta) for i in range(1, m + 1))
+        assert report.r_real == total_runs_closed_form(m, delta)
+
+    def test_no_numpy_power(self, monkeypatch):
+        def power(*args, **kwargs):
+            raise AssertionError("np.power called")
+
+        monkeypatch.setattr(np, "power", power)
+        for delta in (0.01, 1e-320, 1 - 2**-53):
+            assert compare_models(BLOCK + 2, 2**40, delta).r_integer == sum(
+                step_budget(BLOCK + 2, i, delta) for i in range(1, BLOCK + 3))

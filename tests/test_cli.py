@@ -581,6 +581,32 @@ def test_output_at_scale_matches_golden_hash(argv, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+# sha256 of stdout, recorded before the step budgets were read off the
+# k-sum's log1p terms: subnormal delta, where the last ulp of p**r is a large
+# share of delta; delta = 1 - 2**-53, where every budget above step 1 is
+# ceil(x) = 1 or just above it; and a budgeted simulate that lists its
+# step_budgets.
+GOLDEN_BUDGETS = [
+    (["compare", "--n", "1048576", "--delta", "1e-320", "--m-range", "1:300"],
+     "0438f1200a5ddd4f8808f9bff740893b6ef4c7408e4c127201b559526c0ac276"),
+    (["compare", "--n", "1048576", "--delta", "0.9999999999999999", "--m-range", "1:300"],
+     "391ebc8dc2e9fee659e1e2108afc352d0a70a5cb352980b99b7803e5f8acc446"),
+    (["analyze", "--n", "1099511627776", "--m", "100000", "--delta", "1e-320"],
+     "57ce5febac97334b8459242acdf643bad0bd7393cef1bed619e007e4062f6fb9"),
+    (["simulate", "--n", "1048576", "--m", "200", "--delta", "1e-300", "--trials", "50",
+      "--seed", "21"],
+     "ff1b2ee2bce62d2e411ba2ae67ec6203354b25bad9d0eabfdd912e5f1bf67f6e"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_BUDGETS, ids=[
+    "compare-subnormal-delta", "compare-delta-near-1", "analyze-1e5-subnormal-delta",
+    "simulate-ideal-budgeted-1e-300"])
+def test_budget_paths_match_golden_hash(argv, digest, capsys):
+    assert run_cli(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 # sha256 of stdout, recorded before problems kept range marked sets and FULL
 # rounds indexed the marked amplitudes by slice: the exactness sweep at the
 # benchmark's size, and explicit --marked sets, which take the index-array

@@ -143,6 +143,36 @@ class TestStepBudgets:
                 if 0.0 < delta < 1.0:
                     assert step_budgets(m, delta)[i - 1] == step_budget(m, i, delta)
 
+    @pytest.mark.parametrize("m", [21_994, 3 * BLOCK + 1])
+    def test_equal_scalar_budget_where_delta_is_a_power_near_k_equal_m(self, m):
+        # p = fl(k/m) rounds by up to 2**-54 near k = m, which moves ln(1/p)
+        # by up to m * 2**-54 relative to ln(m/k): a band of 2**-40 relative
+        # around the log-space estimate misses it and returns r + 1 here
+        for j in (1, 2, 5):
+            k = m - j
+            p = k / m
+            for r in (m // 2, 3 * m, 7 * m + 11):
+                for ulps in (-1, 0, 1):
+                    delta = nudge(p**r, ulps)
+                    assert step_budgets(m, delta)[k] == step_budget(m, k + 1, delta)
+
+    @pytest.mark.parametrize("delta,most", [(1e-320, 5000), (1 - 2**-53, 100)])
+    def test_scalar_fallback_count(self, delta, most, monkeypatch):
+        # the band is about ln(1 + 2**-1073/delta) / ln(m/k) wide, so the
+        # scalar is rare unless delta is subnormal (0.01: see the test
+        # below); at 5e-324 it is ln 3 wide and nearly every step needs it
+        calls = []
+
+        def counted(m, i, delta):
+            calls.append(i)
+            return step_budget(m, i, delta)
+
+        monkeypatch.setattr(driver, "step_budget", counted)
+        budgets = step_budgets(100_000, delta)
+        assert len(calls) < most
+        monkeypatch.undo()
+        assert list(budgets) == scalar_budgets(100_000, delta)
+
     def test_subnormal_delta_takes_few_nudges(self, monkeypatch):
         # p**r rounds to 5e-324 up to p**r = 1.5 * 5e-324; seeded from delta
         # alone, the steps near i = m were about 0.4 * m nudges off, each one
