@@ -6,10 +6,10 @@ probability at most delta; exhausting a step's budget ends the trial as an
 honest failure. The unbounded strategy simply draws until all m states have
 appeared.
 
-Draws come from a sampler: either the quantum simulator or an idealized
-uniform draw over the marked set at the same query price per draw. The two
-are statistically interchangeable because one exact run measures a marked
-state with certainty, uniformly across the marked set.
+Draws come from a sampler: the quantum simulator, whose final state is built
+once and measured per draw, or an idealized uniform draw over the marked set at
+the same query price. The two are statistically interchangeable because one
+exact run measures a marked state with certainty, uniformly across the marked set.
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ from .search import (
     FULL,
     ProblemInstance,
     SearchParams,
+    _check_shape,
     final_state,
-    measure,
+    measure_at,
     require_matching_params,
 )
 
@@ -210,9 +211,9 @@ class IdealSampler:
 class QuantumSampler:
     """Measurement draws from the simulated final state of one exact run.
 
-    The run's evolution is deterministic, so the final state is built once;
-    each draw is a fresh measurement of it, exactly as a per-draw simulation
-    would produce.
+    The run's evolution is deterministic, so the final state is built and its
+    shape checked once; each draw is a fresh measurement of it, exactly as a
+    per-draw simulation would produce.
     """
 
     def __init__(self, problem: ProblemInstance, params: SearchParams, representation: str = FULL):
@@ -220,9 +221,10 @@ class QuantumSampler:
         self.problem = problem
         self.queries_per_draw = params.iterations
         self._final = final_state(problem, params, representation)
+        _check_shape(self._final, problem)
 
     def draw(self, rng: np.random.Generator) -> int:
-        return measure(self._final, self.problem, rng)
+        return measure_at(self._final, self.problem, rng.random())
 
 
 def execute_trial(

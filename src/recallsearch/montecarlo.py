@@ -1,8 +1,8 @@
 """Statistical harness: deterministic batch trials and uniformity testing.
 
-Trials run one after another, in trial order. Every trial owns a
-counter-based random stream keyed by (master_seed, trial_index), so a
-trial's outcome depends only on its index, never on the trials before it.
+Trials run one after another, in trial order. Every trial owns a counter-based
+Philox stream keyed by (master_seed, trial_index), so its outcome depends only on
+its index; run_trials re-keys one generator per trial rather than building one.
 """
 
 from __future__ import annotations
@@ -31,13 +31,24 @@ class TrialStats:
     master_seed: int
 
 
+def _stream_key(master_seed: int, trial_index: int) -> np.ndarray:
+    return np.array([master_seed % 2**64, trial_index % 2**64], dtype=np.uint64)
+
+
 def trial_stream(master_seed: int, trial_index: int) -> np.random.Generator:
     """Independent counter-based stream for one trial."""
-    key = np.array(
-        [master_seed & 0xFFFFFFFFFFFFFFFF, trial_index & 0xFFFFFFFFFFFFFFFF],
-        dtype=np.uint64,
-    )
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_stream_key(master_seed, trial_index)))
+
+
+def _trial_streams(master_seed: int, n_trials: int):
+    """Yield trial_stream(master_seed, t) for t < n_trials as one Generator re-keyed
+    in place: key (master_seed, t), zero counter, empty buffer, no buffered half."""
+    rng = trial_stream(master_seed, 0)
+    fresh = rng.bit_generator.state
+    for t in range(n_trials):
+        fresh["state"]["key"] = _stream_key(master_seed, t)
+        rng.bit_generator.state = fresh
+        yield rng
 
 
 def run_trials(
@@ -55,8 +66,8 @@ def run_trials(
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     outcomes = [
-        execute_trial(problem, sampler, strategy, trial_stream(master_seed, t))
-        for t in range(n_trials)
+        execute_trial(problem, sampler, strategy, rng)
+        for rng in _trial_streams(master_seed, n_trials)
     ]
     return _aggregate(problem, outcomes, master_seed)
 

@@ -2,22 +2,22 @@
 
 One run prepares the uniform superposition, applies ``iterations`` rounds of
 [oracle phase, diffusion phase] with a matched rotation angle, and measures.
-The matched angle is chosen so the final state lands on the marked subspace
-exactly, so a single run returns a marked state with certainty.
+The angle, fixed by (N, m) in SearchParams, lands the final state on the marked
+subspace exactly, so a single run returns a marked state with certainty. A
+measurement looks one uniform variate up (measure_at) in what the state keeps.
 
-Two register representations are supported. SUBSPACE keeps the 2 amplitudes
-on the invariant span of the uniform marked and unmarked superpositions and
-evaluates the k-th power of the 2x2 round operator in closed form: O(1) time
-and memory for any N, unit norm to rounding error. FULL keeps a length-N
-statevector and applies every round in place; it is the independent
-cross-check, capped at ``FULL_MAX_N`` amplitudes.
+Two register representations. SUBSPACE keeps the 2 amplitudes on the invariant
+span of the uniform marked and unmarked superpositions and evaluates the k-th
+power of the 2x2 round operator in closed form: O(1) time and memory for any N,
+unit norm to rounding error. FULL keeps a length-N statevector and applies every
+round in place; it is the independent cross-check, capped at ``FULL_MAX_N``.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -71,31 +71,42 @@ class ProblemInstance:
     def n_marked(self) -> int:
         return len(self.marked)
 
+    @cached_property
+    def unmarked_below(self) -> list[int]:
+        """s - i, the unmarked indices below s, for the i-th smallest marked s."""
+        return [s - i for i, s in enumerate(sorted(self.marked))]
+
 
 @dataclass(frozen=True)
 class SearchParams:
-    """Everything needed for one exact search run.
-
-    ``beta`` is the angle with sin(beta) = sqrt(m/N); ``iterations`` (= j + 1)
-    is both the number of operator rounds and the oracle-query cost of the
-    run; ``phi`` is the matched rotation used by oracle and diffusion alike.
+    """Everything needed for one exact run with m of N states marked, made from
+    (N, m), which it records. sin(beta) = sqrt(m/N); ``iterations`` (= j + 1) is
+    both the operator rounds and the oracle-query cost of a run; ``phi`` is the
+    matched rotation of oracle and diffusion alike. With all N marked, measuring
+    the uniform state already returns a marked index: no iterations, no queries.
     """
 
-    beta: float
-    j: int
-    iterations: int
-    phi: float
+    n_states: int
+    n_marked: int
+    beta: float = field(init=False)
+    j: int = field(init=False)
+    iterations: int = field(init=False)
+    phi: float = field(init=False)
 
     def __post_init__(self):
-        if not 0.0 < self.beta <= math.pi / 2:
-            raise ValueError(f"beta must be in (0, pi/2], got {self.beta}")
-        if self.iterations > 0:
-            if math.sin(math.pi / (4 * self.j + 6)) > math.sin(self.beta) + 1e-15:
-                raise ValueError(
-                    "matched phase undefined: need sin(pi/(4j+6)) <= sin(beta)"
-                )
-            if not 0.0 < self.phi <= math.pi:
-                raise ValueError(f"phi must be in (0, pi], got {self.phi}")
+        n, m = self.n_states, self.n_marked
+        if not 1 <= m <= n:
+            raise ValueError(f"need 1 <= m <= N, got m={m}, N={n}")
+        beta = math.asin(math.sqrt(m / n))
+        if beta == 0.0:
+            raise ValueError(f"m/N underflows to 0 in floating point, got m={m}, N={n}")
+        j, phi = 0, 0.0
+        if m != n:
+            j = math.ceil((math.pi / 2 - beta) / (2 * beta))
+            phi = 2.0 * math.asin(math.sin(math.pi / (4 * j + 6)) / math.sin(beta))
+        iterations = j + 1 if m != n else 0
+        for name, value in dict(beta=beta, j=j, iterations=iterations, phi=phi).items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -119,30 +130,23 @@ class QuantumState:
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state is not normalized: sum |a|^2 = {norm!r}")
 
+    # What draws read, built on first use and kept: CDF and total (FULL), marked mass.
     @cached_property
     def cdf(self) -> np.ndarray:
-        """Cumulative squared magnitudes, built on first use and kept, so a
-        state measured many times pays for its CDF once."""
         return np.cumsum(np.abs(self.amplitudes) ** 2)
+
+    @cached_property
+    def cdf_total(self) -> float:
+        return float(self.cdf[-1])
+
+    @cached_property
+    def p_marked(self) -> float:
+        return float(abs(self.amplitudes[0]) ** 2)
 
 
 def search_params(n: int, m: int) -> SearchParams:
-    """Pick the iteration count and matched phase for one exact run with m
-    of N states marked.
-
-    The all-marked problem is degenerate: measuring the uniform state already
-    returns a marked index, so no iterations (and no queries) are needed.
-    """
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= N, got m={m}, N={n}")
-    beta = math.asin(math.sqrt(m / n))
-    if beta == 0.0:
-        raise ValueError(f"m/N underflows to 0 in floating point, got m={m}, N={n}")
-    if m == n:
-        return SearchParams(beta=beta, j=0, iterations=0, phi=0.0)
-    j = math.ceil((math.pi / 2 - beta) / (2 * beta))
-    phi = 2.0 * math.asin(math.sin(math.pi / (4 * j + 6)) / math.sin(beta))
-    return SearchParams(beta=beta, j=j, iterations=j + 1, phi=phi)
+    """Iteration count and matched phase for one exact run; see SearchParams."""
+    return SearchParams(n, m)
 
 
 def derive_search_params(problem: ProblemInstance) -> SearchParams:
@@ -201,7 +205,7 @@ def _full_round(amps: np.ndarray, marked, oracle: complex | None, diffusion: com
     if oracle is not None:
         amps[marked] *= oracle
     if diffusion is not None:
-        amps -= diffusion * amps.mean()
+        amps -= diffusion * (np.add.reduce(amps) / len(amps))
 
 
 def _marked_selector(problem: ProblemInstance) -> slice | np.ndarray:
@@ -262,16 +266,19 @@ def measure(state: QuantumState, problem: ProblemInstance, rng: np.random.Genera
     CDF is built on its first measurement and reused after.
     """
     _check_shape(state, problem)
-    u = float(rng.random())
+    return measure_at(state, problem, rng.random())
+
+
+def measure_at(state: QuantumState, problem: ProblemInstance, u: float) -> int:
+    """The basis index measure draws for the uniform u; the shape is not checked."""
     if state.representation == FULL:
-        cdf = state.cdf
-        idx = int(np.searchsorted(cdf, u * float(cdf[-1]), side="right"))
+        idx = int(state.cdf.searchsorted(u * state.cdf_total, side="right"))
         return min(idx, problem.n_states - 1)
     # Subspace draw: pick the marked/unmarked class first, then the member.
     # Operator symmetry keeps amplitudes equal within each class, so the
     # within-class distribution is uniform.
     m = problem.n_marked
-    p_marked = float(abs(state.amplitudes[0]) ** 2)
+    p_marked = state.p_marked
     if u < p_marked or p_marked >= 1.0:
         k = min(int(u / p_marked * m), m - 1)
         return problem.marked[k]
@@ -314,8 +321,8 @@ def marked_mass(state: QuantumState, problem: ProblemInstance) -> float:
 
 
 def require_matching_params(problem: ProblemInstance, params: SearchParams) -> None:
-    """Reject params that were not derived from this problem."""
-    if params != derive_search_params(problem):
+    """Reject params that were not derived from this problem's (N, m)."""
+    if (params.n_states, params.n_marked) != (problem.n_states, problem.n_marked):
         raise ValueError("params were not derived from this problem")
 
 
@@ -333,4 +340,4 @@ def _unmarked_at(problem: ProblemInstance, k: int) -> int:
     marked = problem.marked
     if isinstance(marked, range):
         return k if k < marked.start else k + len(marked)
-    return k + bisect.bisect_right([s - i for i, s in enumerate(sorted(marked))], k)
+    return k + bisect.bisect_right(problem.unmarked_below, k)

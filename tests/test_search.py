@@ -18,12 +18,15 @@ from recallsearch.search import (
     final_state,
     marked_mass,
     measure,
+    measure_at,
     prepare_uniform,
+    require_matching_params,
     run_search_once,
     _unmarked_at,
     search_params,
     success_probability,
 )
+from recallsearch.driver import QuantumSampler
 from recallsearch.montecarlo import trial_stream
 
 
@@ -91,6 +94,59 @@ class TestDeriveParams:
             search_params(4, 5)
         with pytest.raises(ValueError, match="underflows"):
             search_params(2**1100, 2)
+
+
+def formula_params(n, m):
+    """(beta, j, iterations, phi) by the formula search_params used before
+    SearchParams was built from (N, m)."""
+    beta = math.asin(math.sqrt(m / n))
+    if m == n:
+        return beta, 0, 0, 0.0
+    j = math.ceil((math.pi / 2 - beta) / (2 * beta))
+    return beta, j, j + 1, 2.0 * math.asin(math.sin(math.pi / (4 * j + 6)) / math.sin(beta))
+
+
+class TestParamsProvenance:
+    @staticmethod
+    def assert_formula(n, m):
+        params = search_params(n, m)
+        assert (params.n_states, params.n_marked) == (n, m)
+        assert (params.beta, params.j, params.iterations, params.phi) == formula_params(n, m)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 10, 31, 61, 62])
+    def test_fields_equal_the_formula_on_a_grid(self, k):
+        n = 2**k
+        for m in {m for m in (1, 2, n // 3, n - 1, n) if 1 <= m <= n}:
+            self.assert_formula(n, m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=2**62), data=st.data())
+    def test_fields_equal_the_formula(self, n, data):
+        self.assert_formula(n, data.draw(st.integers(min_value=1, max_value=n)))
+
+    def test_rejects_like_before(self):
+        with pytest.raises(ValueError, match=r"^need 1 <= m <= N, got m=5, N=4$"):
+            search_params(4, 5)
+        with pytest.raises(ValueError, match=r"^need 1 <= m <= N, got m=0, N=4$"):
+            search_params(4, 0)
+        with pytest.raises(ValueError, match=r"^m/N underflows to 0 in floating point, got m=2, "
+                                             r"N=" + str(2**1100) + "$"):
+            search_params(2**1100, 2)
+
+    def test_matching_compares_counts(self):
+        params = derive_search_params(problem(64, (1, 5, 9)))
+        for marked in ((1, 5, 9), (0, 1, 2), (63, 2, 40), range(10, 13)):
+            require_matching_params(ProblemInstance(n_states=64, marked=marked, delta=0.5), params)
+        for n, m in ((64, 2), (64, 4), (65, 3), (63, 3), (128, 6)):
+            with pytest.raises(ValueError, match="derived"):
+                require_matching_params(problem(n, m), params)
+
+    def test_equal_angles_from_other_counts_do_not_match(self):
+        # (4, 1) and (8, 2) share m/N and so every angle, but not (N, m)
+        a, b = search_params(4, 1), search_params(8, 2)
+        assert (a.beta, a.j, a.iterations, a.phi) == (b.beta, b.j, b.iterations, b.phi)
+        with pytest.raises(ValueError, match="derived"):
+            require_matching_params(problem(8, 2), a)
 
 
 class TestPrepareUniform:
@@ -371,6 +427,79 @@ class TestStateAndMeasure:
         assert abs(hits / 2000 - 0.25) <= 3 * math.sqrt(0.25 * 0.75 / 2000)
 
 
+def formula_index(state, prob, u):
+    """The index measure returned for the uniform u before the draw lookup
+    was shared: searchsorted on a fresh CDF, or the class split from
+    |a_0|^2 and a linear scan for the unmarked member."""
+    amps = state.amplitudes
+    if state.representation == FULL:
+        cdf = np.cumsum(np.abs(amps) ** 2)
+        return min(int(np.searchsorted(cdf, u * float(cdf[-1]), side="right")), prob.n_states - 1)
+    m = prob.n_marked
+    p_marked = float(abs(amps[0]) ** 2)
+    if u < p_marked or p_marked >= 1.0:
+        return prob.marked[min(int(u / p_marked * m), m - 1)]
+    unmarked = [i for i in range(prob.n_states) if i not in set(prob.marked)]
+    v = (u - p_marked) / (1.0 - p_marked)
+    return unmarked[min(int(v * len(unmarked)), len(unmarked) - 1)]
+
+
+class FixedUniform:
+    """A stand-in stream whose random() returns one value."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+U_EDGES = (0.0, 1.0 - 2.0**-53)
+
+
+class TestDrawLookup:
+    SHAPES = ((8, (1, 6)), (16, 16), (64, (0, 1, 2)), (100, (99, 3, 50, 7)), (1, 1))
+
+    @pytest.mark.parametrize("n,marked", SHAPES)
+    @pytest.mark.parametrize("rep", [FULL, SUBSPACE])
+    def test_edges_equal_the_formula(self, n, marked, rep):
+        prob = problem(n, marked)
+        params = derive_search_params(prob)
+        sampler, final = QuantumSampler(prob, params, rep), final_state(prob, params, rep)
+        for state in (prepare_uniform(prob, rep), final):
+            for u in U_EDGES:
+                expected = formula_index(state, prob, u)
+                assert measure_at(state, prob, u) == expected
+                assert measure(state, prob, FixedUniform(u)) == expected
+        for u in U_EDGES:
+            assert sampler.draw(FixedUniform(u)) == formula_index(final, prob, u)
+
+    @pytest.mark.parametrize("rep", [FULL, SUBSPACE])
+    def test_unmarked_only_state(self, rep):
+        prob = problem(8, (0, 5))
+        amps = [0.0, 1.0] if rep == SUBSPACE else [0, 0.5, 0.5, 0.5, 0.5, 0, 0, 0]
+        state = QuantumState(rep, np.array(amps, dtype=complex))
+        for u in U_EDGES + (0.5, 0.9):
+            assert measure_at(state, prob, u) == formula_index(state, prob, u)
+            assert measure_at(state, prob, u) not in prob.marked
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=300), data=st.data())
+    def test_stream_draws_equal_the_formula(self, n, data):
+        marked = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        prob = problem(n, marked)
+        params = derive_search_params(prob)
+        for rep in (FULL, SUBSPACE):
+            sampler = QuantumSampler(prob, params, rep)
+            final = final_state(prob, params, rep)
+            uniform = prepare_uniform(prob, rep)
+            rng_a, rng_b, rng_c = (trial_stream(n, len(marked)) for _ in range(3))
+            for _ in range(30):
+                u = rng_c.random()
+                assert sampler.draw(rng_a) == formula_index(final, prob, u)
+                assert measure(uniform, prob, rng_b) == formula_index(uniform, prob, u)
+
+
 class TestRangeMarked:
     @settings(max_examples=60, deadline=None)
     @given(k=st.integers(min_value=1, max_value=12), data=st.data())
@@ -413,6 +542,34 @@ class TestRangeMarked:
         assert marked_mass(state, prob) == float(np.sum(np.abs(amps[idx]) ** 2))
 
     @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(min_value=3, max_value=20000), data=st.data())
+    def test_rounds_equal_mean_method_rounds(self, n, data):
+        # the reference takes each round's mean with ndarray.mean, as FULL
+        # rounds did before they summed with np.add.reduce
+        m = data.draw(st.integers(min_value=1, max_value=n // 3))
+        start = data.draw(st.integers(min_value=0, max_value=n - m))
+        marked = data.draw(st.one_of(
+            st.just(range(start, start + m)),
+            st.lists(st.integers(0, n - 1), min_size=m, max_size=m, unique=True)))
+        prob = ProblemInstance(n_states=n, marked=marked, delta=0.1)
+        params = derive_search_params(prob)
+        idx = np.array(list(marked), dtype=np.intp)
+        amps = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
+        phase = complex(math.cos(params.phi), math.sin(params.phi))
+        for _ in range(params.iterations):
+            amps[idx] *= phase
+            amps -= (1.0 - phase) * amps.mean()
+        assert np.array_equal(final_state(prob, params, FULL).amplitudes, amps)
+        state = prepare_uniform(prob, FULL)
+        amps = np.array(state.amplitudes)
+        for _ in range(min(params.iterations, 3)):
+            state = apply_diffusion_phase(apply_oracle_phase(state, prob, params.phi),
+                                          prob, params.phi)
+            amps[idx] *= phase
+            amps -= (1.0 - phase) * amps.mean()
+        assert np.array_equal(state.amplitudes, amps)
+
+    @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_unmarked_index_matches_a_linear_scan(self, data):
         n = data.draw(st.integers(min_value=2, max_value=64))
@@ -423,6 +580,18 @@ class TestRangeMarked:
         prob = ProblemInstance(n_states=n, marked=marked, delta=0.1)
         unmarked = [i for i in range(n) if i not in set(prob.marked)]
         assert [_unmarked_at(prob, k) for k in range(len(unmarked))] == unmarked
+
+    def test_unmarked_ranks_are_built_once_per_problem(self, monkeypatch):
+        from recallsearch import search
+
+        calls = []
+        monkeypatch.setattr(search, "sorted", lambda xs: calls.append(1) or sorted(xs),
+                            raising=False)
+        prob = ProblemInstance(n_states=64, marked=(40, 2, 17), delta=0.1)
+        assert [_unmarked_at(prob, k) for k in range(61)] == [
+            i for i in range(64) if i not in (2, 17, 40)]
+        assert len(calls) == 1
+        assert prob.unmarked_below == [2, 16, 38]
 
     def test_unit_step_range_is_kept(self):
         marked = range(2**40, 2**41)
