@@ -6,11 +6,12 @@ The run total for finding all m states with per-step tolerance delta is
     1 + sum_{k=1}^{m-1} ln(1/delta) / ln(m/k)
 
 which is affine in ln(1/delta): the k-sum is computed once per m and the
-ln(1/delta) factor applied after. Its terms are evaluated in numpy blocks in
-buffers made once per process and summed exactly (exact_sum): the result is
-the exactly rounded sum, equal bit for bit to math.fsum of the same terms.
-Query totals price each run at the exact per-run iteration count, giving the
-asymptotic sqrt(N/m) factor a concrete, reproducible constant.
+ln(1/delta) factor applied after. One kernel (_price_rows) prices any list of
+m for curves, compare tables and one-row reports alike: it packs the rows'
+terms into shared numpy blocks in buffers made once per process, reads the
+step budgets off the terms, and sums each row exactly, equal bit for bit to
+math.fsum of its terms. Query totals price each run at the exact per-run
+iteration count, giving the asymptotic sqrt(N/m) factor a concrete constant.
 """
 
 from __future__ import annotations
@@ -20,13 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import BLOCK, budget_term_blocks, inverse_log_ratio_block
+from .driver import BLOCK, budget_term_blocks
 from .search import search_params
 
-# The k-sum's work buffers: the terms, and exact_sum's limb and remainder.
-# One set per process, so summing allocates nothing per m; two threads must
-# not sum at once (the program starts none).
+# The k-sum's work buffers: the terms, and the limb loop's limb and remainder,
+# which hold a block's budgets and k while it is made. One set per process, so
+# pricing allocates nothing per m; two threads must not price at once.
 _TERMS, _LIMB, _REST = np.empty(BLOCK), np.empty(BLOCK), np.empty(BLOCK)
+_UNITS_PER_ONE = 2**1074  # the smallest subnormal is 2**-1074
 
 
 @dataclass(frozen=True)
@@ -53,63 +55,90 @@ class ComplexityReport:
 
 
 def _units(v: float) -> int:
-    """v as an exact integer count of 2**-1074, the smallest subnormal."""
+    """v as an exact integer count of 2**-1074."""
     num, den = v.as_integer_ratio()
     return num << (1075 - den.bit_length())
+
+
+def _limb_sums(x, top: int, low: int, starts) -> list[int]:
+    """Exact sums of the segments of at most BLOCK positive finite values x
+    that begin at each index in starts, in units of 2**-1074, given every
+    x < 2**top and a multiple of 2**low. x is cut from the top into float limbs
+    (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31(1), 2008): with
+    C = 1.5 * 2**(s + 52), q = (x + C) - C is x rounded to a multiple of 2**s,
+    and x - q is exact and at most 2**(s - 1). A limb spans at most `width`
+    bits above 2**s, so its n values sum exactly, in any order or segment,
+    while n * 2**width < 2**53. Values too near 2**1024 are added one by one,
+    as one segment: only exact_sum's chunks reach them, as the kernel's terms
+    stay under m.
+    """
+    width = min(53 - len(x).bit_length(), 51)  # 51: x + C <= 2**(s+53)
+    if top - width > 970:  # C or a limb sum would pass 2**1023
+        return [sum(map(_units, x.tolist()))]
+    totals = [0] * len(starts)
+    q, rest = _LIMB[: len(x)], _REST[: len(x)]
+    while top - width > low:
+        s = top - width
+        c = math.ldexp(1.5, s + 52)
+        np.add(x, c, out=q)
+        np.subtract(q, c, out=q)
+        totals = [t + _units(v) for t, v in zip(totals, np.add.reduceat(q, starts).tolist())]
+        x = np.subtract(x, q, out=rest)
+        top = s - 1  # every |x| <= 2**top
+    return [t + _units(v) for t, v in zip(totals, np.add.reduceat(x, starts).tolist())]  # on 2**low
 
 
 def exact_sum(blocks) -> float:
     """Exactly rounded sum of 1-D float64 arrays of positive finite values,
     equal bit for bit to math.fsum of their concatenation.
 
-    Chunks of at most BLOCK values are cut from the top into float limbs
-    (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31(1), 2008): with
-    C = 1.5 * 2**(s + 52), q = (x + C) - C is x rounded to a multiple of
-    2**s, and x - q is exact and at most 2**(s - 1). A limb spans at most
-    `width` bits above 2**s, so its n values sum exactly while
-    n * 2**width < 2**53. Cutting stops at the chunk's lowest bit, 53 below
-    the exponent of its smallest value. Limb sums are added as integer
-    counts of 2**-1074 and rounded once, half to even, as fsum rounds. A
-    chunk too near 2**1024 for a finite C is added value by value.
+    Chunks of at most BLOCK values go to _limb_sums, bounded by their largest
+    and smallest values, and their sums are rounded once, half to even, as
+    fsum rounds.
     """
     total = 0
     for block in blocks:
         for i in range(0, len(block), BLOCK):
             x = block[i : i + BLOCK]
-            width = min(53 - len(x).bit_length(), 51)  # 51: x + C <= 2**(s+53)
             top = math.frexp(np.maximum.reduce(x))[1]  # every x < 2**top
             low = max(math.frexp(np.minimum.reduce(x))[1] - 53, -1074)
-            if top - width > 970:  # C or a limb sum would pass 2**1023
-                total += sum(map(_units, x.tolist()))
-                continue
-            q, rest = _LIMB[: len(x)], _REST[: len(x)]
-            while top - width > low:
-                s = top - width
-                c = math.ldexp(1.5, s + 52)
-                np.add(x, c, out=q)
-                np.subtract(q, c, out=q)
-                total += _units(np.add.reduce(q))
-                x = np.subtract(x, q, out=rest)
-                top = s - 1  # every |x| <= 2**top
-            total += _units(np.add.reduce(x))  # the last limb, on 2**low
-    return total / 2**1074  # int / int rounds correctly, overflow raises
+            total += _limb_sums(x, top, low, [0])[0]
+    return total / _UNITS_PER_ONE  # int / int rounds correctly, overflow raises
 
 
-def _inverse_log_ratio_terms(m: int):
-    """1/log1p((m-k)/k) for k = 1..m-1 in views of one buffer made once per
-    process. k sits in exact_sum's remainder buffer, which exact_sum writes
-    only after the block's terms are made."""
-    for start in range(0, m - 1, BLOCK):
-        c = min(BLOCK, m - 1 - start)
-        yield inverse_log_ratio_block(m, start, _REST[:c], _TERMS[:c])
+def _budget_totals(u, starts) -> list[int]:
+    """Exact sums of the segments of integer-valued budgets u, float64 or
+    int64, that begin at each index in starts. Budgets rise within a segment,
+    so where every segment's last entry is under 2**52 / len(u) they sum in
+    their own type (float64 is exact to 2**53, and half that leaves room for
+    a step out of order); else as Python ints, so int64 cannot wrap either."""
+    ends = [*starts[1:], len(u)]
+    if max(u[e - 1] for e in ends) < 2**52 // len(u):
+        return list(map(int, np.add.reduceat(u, starts).tolist()))
+    return [sum(map(int, u[a:b].tolist())) for a, b in zip(starts, ends)]
 
 
-def _inverse_log_ratio_sum(m: int) -> float:
-    """sum_{k=1}^{m-1} 1/ln(m/k), exactly rounded: exact_sum of the terms,
-    equal to math.fsum of them."""
-    if m < 2:
-        return 0.0
-    return exact_sum(_inverse_log_ratio_terms(m))
+def _price_rows(ms, delta: float | None = None):
+    """The k-sum sum_{k=1}^{m-1} 1/ln(m/k) of each m in ms, exactly rounded
+    (equal to math.fsum of its float terms), and, unless delta is None, each
+    row's budget total r_1 + ... + r_m.
+
+    The rows' terms share blocks (driver.packed_blocks). A row's terms rise
+    with k, so each piece's first and last term bound the block's limbs, with
+    a bit to spare on each side for rounding; each piece sums to its row.
+    """
+    units = [0] * len(ms)
+    runs = None if delta is None else [1] * len(ms)  # step 1 is one run
+    for pieces, y, u in budget_term_blocks(ms, delta, _REST, _TERMS, _LIMB):
+        starts = [p[3] for p in pieces]
+        if u is not None:  # totalled before _limb_sums reuses _LIMB
+            for p, r in zip(pieces, _budget_totals(u, starts)):
+                runs[p[0]] += r
+        top = math.frexp(max(y[at + count - 1] for _, _, _, at, count in pieces))[1] + 1
+        low = max(math.frexp(min(y[p[3]] for p in pieces))[1] - 54, -1074)
+        for p, v in zip(pieces, _limb_sums(y, top, low, starts)):
+            units[p[0]] += v
+    return [v / _UNITS_PER_ONE for v in units], runs
 
 
 def total_runs_closed_form(m: int, delta: float) -> float:
@@ -118,9 +147,7 @@ def total_runs_closed_form(m: int, delta: float) -> float:
         raise ValueError(f"m must be >= 1, got {m}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if m == 1:
-        return 1.0
-    return 1.0 + (-math.log(delta)) * _inverse_log_ratio_sum(m)
+    return 1.0 + (-math.log(delta)) * _price_rows([m])[0][0]
 
 
 def f_of_m_curve(
@@ -129,17 +156,21 @@ def f_of_m_curve(
     """Table of (m, run total) over [m_min, m_max].
 
     With a stride, the last point is pinned to m_max so the table always
-    covers the full range. Each point is a direct evaluation; there is no
-    partial-sum reuse across m because every term depends on m.
+    covers the full range. Every term depends on m, so there is no
+    partial-sum reuse across m; the points' k-sums share blocks instead, and
+    each value is bit-identical to total_runs_closed_form(m, delta).
     """
     if not 1 <= m_min <= m_max:
         raise ValueError(f"need 1 <= m_min <= m_max, got {m_min}..{m_max}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
     points = list(range(m_min, m_max + 1, stride))
     if points[-1] != m_max:
         points.append(m_max)
-    return [(m, total_runs_closed_form(m, delta)) for m in points]
+    log_inv_delta = -math.log(delta)
+    return [(m, 1.0 + log_inv_delta * c) for m, c in zip(points, _price_rows(points)[0])]
 
 
 def f_of_delta_curve(
@@ -167,9 +198,7 @@ def f_of_delta_curve(
         deltas = np.logspace(math.log10(delta_min), math.log10(delta_max), n_points)
     else:
         raise ValueError(f"unknown spacing: {spacing!r}")
-    if m == 1:
-        return [(float(d), 1.0) for d in deltas]
-    c = _inverse_log_ratio_sum(m)
+    c = _price_rows([m])[0][0]
     return [(float(d), 1.0 + (-math.log(float(d))) * c) for d in deltas]
 
 
@@ -181,44 +210,23 @@ def duality_queries(m: int, n_states: int) -> float:
     return m * math.log2(n_states / m)
 
 
-def _budget_total(blocks) -> int:
-    """Exact sum of integer-valued budget blocks, float64 or int64. Budgets rise
-    with i, so a block whose last entry is under 2**52 / len(block) sums in
-    its own type (float64 is exact to 2**53, and half that leaves room for a
-    step out of order); others as Python ints, so int64 cannot wrap either."""
-    return sum(int(b.sum()) if b[-1] < 2**52 // len(b) else sum(map(int, b.tolist()))
-               for b in blocks)
+def compare_table(ms, n_states: int, delta: float) -> list[ComplexityReport]:
+    """Every cost figure for each m in the sequence ms at one (N, delta), plus
+    the quantum-over-deletion query ratio (None when the deletion count is 0)."""
+    params = [search_params(n_states, m) for m in ms]
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    log_inv_delta, reports = -math.log(delta), []
+    for p, c, r_int in zip(params, *_price_rows(ms, delta)):
+        r_real = 1.0 + log_inv_delta * c
+        q_real, q_dual = r_real * p.iterations, duality_queries(p.n_marked, n_states)
+        reports.append(ComplexityReport(
+            m=p.n_marked, n_states=n_states, delta=delta, r_real=r_real, r_integer=r_int,
+            queries_per_run=p.iterations, q_real=q_real, q_integer=r_int * p.iterations,
+            q_duality=q_dual, quantum_to_duality_ratio=q_real / q_dual if q_dual > 0 else None))
+    return reports
 
 
 def compare_models(m: int, n_states: int, delta: float) -> ComplexityReport:
-    """Assemble every cost figure for one setting, plus the quantum-over-
-    deletion query ratio (None when the deletion count is zero). Each block
-    of k-sum terms also gives its step budgets, so one pass over k makes both."""
-    params = search_params(n_states, m)
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    r_int = 1  # step 1
-
-    def terms():  # each block's budgets are totalled before exact_sum reuses _LIMB
-        nonlocal r_int
-        for y, u in budget_term_blocks(m, delta, _REST, _TERMS, _LIMB):
-            r_int += _budget_total([u])
-            yield y
-
-    r_real = 1.0 + (-math.log(delta)) * exact_sum(terms())
-    q_real = r_real * params.iterations
-    q_int = r_int * params.iterations
-    q_dual = duality_queries(m, n_states)
-    ratio = q_real / q_dual if q_dual > 0 else None
-    return ComplexityReport(
-        m=m,
-        n_states=n_states,
-        delta=delta,
-        r_real=r_real,
-        r_integer=r_int,
-        queries_per_run=params.iterations,
-        q_real=q_real,
-        q_integer=q_int,
-        q_duality=q_dual,
-        quantum_to_duality_ratio=ratio,
-    )
+    """Every cost figure for one setting: the one-row compare_table."""
+    return compare_table([m], n_states, delta)[0]

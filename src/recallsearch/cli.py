@@ -28,7 +28,7 @@ from functools import partial
 from typing import NamedTuple
 
 from . import __version__
-from .analytics import compare_models, f_of_delta_curve, f_of_m_curve
+from .analytics import compare_models, compare_table, f_of_delta_curve, f_of_m_curve
 from .driver import (
     OVERALL,
     PER_STEP,
@@ -51,6 +51,8 @@ from .search import (
 
 SEED_ENV_VAR = "RECALL_SEED"
 EXACTNESS_THRESHOLD = 1e-9
+# simulate holds and prints m budgets and rates: 340 MB, 26 MB of JSON at 2**20
+SIMULATE_MAX_M = 2**20
 
 _CURVE_PRESETS = {
     "fig1": {"kind": "m", "delta": 0.01, "m_min": 1, "m_max": 100000, "stride": 100},
@@ -103,19 +105,18 @@ class RunConfig:
 # of emitted headers to keep outputs byte-stable across destinations and the
 # accepted but ignored --workers.
 _NON_IDENTITY_FIELDS = ("output_path", "workers")
+_IDENTITY_FIELDS = sorted(f.name for f in fields(RunConfig) if f.name not in _NON_IDENTITY_FIELDS)
 
 
 def _resolved_pairs(config: RunConfig) -> list[tuple[str, str]]:
     pairs = []
-    for field in sorted(fields(RunConfig), key=lambda f: f.name):
-        if field.name in _NON_IDENTITY_FIELDS:
-            continue
-        value = getattr(config, field.name)
+    for name in _IDENTITY_FIELDS:
+        value = getattr(config, name)
         if value is None:
             continue
         if isinstance(value, tuple):
             value = ",".join(str(v) for v in value)
-        pairs.append((field.name, str(value)))
+        pairs.append((name, str(value)))
     return pairs
 
 
@@ -209,9 +210,8 @@ def _cmd_simulate(config: RunConfig) -> tuple[str, int]:
 
 
 def _cmd_compare(config: RunConfig) -> tuple[str, int]:
-    delta = config.delta
     lo, hi = config.m_range
-    reports = (compare_models(m, config.n_states, delta) for m in range(lo, hi + 1))
+    reports = compare_table(range(lo, hi + 1), config.n_states, config.delta)
     if config.output_format == "json":
         payload = {"meta": _meta(config), "rows": [_report_row(r) for r in reports]}
         return _json_text(payload), 0
@@ -289,7 +289,8 @@ _OPTIONS = {
     "format": _Option("output_format", ("csv", "json"), _ALL, "output format"),
     "n": _Option("n_states", int, _PROBLEM, "number of database states N",
                  1, sys.float_info.max),
-    "m": _Option("n_marked", int, _PROBLEM, "number of marked states"),
+    "m": _Option("n_marked", int, _PROBLEM,
+                 f"number of marked states (simulate: at most {SIMULATE_MAX_M})"),
     "marked": _Option("marked", _parse_marked, _PROBLEM,
                       "explicit marked indices, comma-separated (overrides --m)"),
     "delta": _Option("delta", float, _PROBLEM, "failure tolerance in (0, 1)"),
@@ -427,6 +428,8 @@ def _validate(config: RunConfig) -> None:
             error(f"{cmd}: --m or --marked is required")
         if not 1 <= config.n_marked <= config.n_states:
             error(f"--m must satisfy 1 <= m <= N, got m={config.n_marked}, N={config.n_states}")
+        if cmd == "simulate" and config.n_marked > SIMULATE_MAX_M:
+            error(f"--m must be <= {SIMULATE_MAX_M} for simulate, got {config.n_marked}")
         if config.marked is not None and (
             min(config.marked) < 0 or max(config.marked) >= config.n_states
         ):

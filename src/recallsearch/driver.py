@@ -14,6 +14,7 @@ exact run measures a marked state with certainty, uniformly across the marked se
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -96,23 +97,45 @@ def step_budget(m: int, i: int, delta: float) -> int:
     return r
 
 
-def inverse_log_ratio_block(m: int, start: int, k, out):
-    """1/ln(m/k) for k = start+1..start+len(out), into out, as 1/log1p((m-k)/k):
-    log1p keeps the k ~ m terms accurate, where ln(m/k) is tiny and the terms
-    are largest. k is a work buffer as long as out."""
-    np.add(RAMP[: len(out)], start, out=k)
-    np.subtract(m, k, out=out)
+def packed_blocks(ms):
+    """Cut the k-ranges 1..m-1 of the rows m in ms, in order, into blocks of at
+    most BLOCK terms, every block but the last full. A block is a list of
+    pieces (row, m, start, at, count): the row's terms k = start+1..start+count,
+    at offset `at` of the block."""
+    block, at = [], 0
+    for row, m in enumerate(ms):
+        start = 0
+        while start < m - 1:
+            count = min(BLOCK - at, m - 1 - start)
+            block.append((row, m, start, at, count))
+            start, at = start + count, at + count
+            if at == BLOCK:
+                yield block
+                block, at = [], 0
+    if block:
+        yield block
+
+
+def inverse_log_ratio_block(pieces, k, out):
+    """1/ln(m/k) for a block's pieces (packed_blocks), packed into out, as
+    1/log1p((m-k)/k): log1p keeps the k ~ m terms accurate, where ln(m/k) is
+    tiny and the terms are largest. k is a work buffer as long as out."""
+    n = pieces[-1][3] + pieces[-1][4]
+    k, out = k[:n], out[:n]
+    for _, m, start, at, count in pieces:
+        np.add(RAMP[:count], start, out=k[at : at + count])
+        np.subtract(m, k[at : at + count], out=out[at : at + count])
     np.divide(out, k, out=out)
     np.log1p(out, out=out)
     return np.divide(1.0, out, out=out)
 
 
-def budget_term_blocks(m: int, delta: float, k, y, u):
-    """Yield (terms, budgets) for i = 2..m, k = i - 1, BLOCK at a time, as views
-    of the float64 buffers y and u that the next block overwrites: the terms
-    y = 1/ln(m/k) of inverse_log_ratio_block, and r_i = step_budget(m, i,
-    delta) as floats, read off y. k is a work buffer; each buffer holds at
-    least min(BLOCK, m - 1) entries.
+def budget_term_blocks(ms, delta: float | None, k, y, u):
+    """Yield (pieces, terms, budgets) for each block of packed_blocks(ms), as
+    views of the float64 buffers y and u that the next block overwrites: the
+    terms y = 1/ln(m/k) of inverse_log_ratio_block and, unless delta is None,
+    r_i = step_budget(m, i, delta), i = k + 1, as floats, read off y. k is a
+    work buffer; each buffer holds at least min(BLOCK, sum of m - 1) entries.
 
     Let L = ln(1/delta) and l = -ln p, p = fl(k/m). pow is within an ulp of
     p**r, so pow(p, r) <= delta if r*l > L, and pow(p, r) > delta if
@@ -123,24 +146,30 @@ def budget_term_blocks(m: int, delta: float, k, y, u):
     slack = 2**-40 + m * 2**-50 covers these and the products' rounding, so
     every r >= hi*y passes, hi = L * (1 + slack), and every r <= lo*y fails,
     lo = L * (1 - slack) - s. Where ceil(hi*y) == ceil(lo*y) that is r_i;
-    elsewhere the scalar step_budget decides. lo is floored at 2**-1000, as
-    r = 0 is never a candidate: at delta = 1 - 2**-53, L < s would send every
-    step to the scalar. The scalar takes about s * sum(y) steps: a handful
-    for normal delta, hundreds at delta = 1e-320 and m = 1e5, and nearly all
-    at delta = 5e-324, where pow returns delta for every p**r below
-    1.5 * 2**-1074, so s = ln 3 and the float terms cannot tell r apart.
+    elsewhere the scalar step_budget decides. A block takes the slack of its
+    largest m: a wider band sends more steps to the scalar and changes no
+    budget. lo is floored at 2**-1000, as r = 0 is never a candidate: at
+    delta = 1 - 2**-53, L < s would send every step to the scalar. The
+    scalar takes about s * sum(y) steps: a handful for normal delta, hundreds
+    at delta = 1e-320 and m = 1e5, and nearly all at delta = 5e-324, where
+    pow returns delta for every p**r below 1.5 * 2**-1074, so s = ln 3 and
+    the float terms cannot tell r apart.
     """
-    log_inv_delta, slack = -math.log(delta), 2.0**-40 + m * 2.0**-50
-    s = math.log1p(max(2.0**-51, 2.0**-1073 / delta))
-    hi, lo = log_inv_delta * (1.0 + slack), max(log_inv_delta * (1.0 - slack) - s, 2.0**-1000)
-    for start in range(0, m - 1, BLOCK):
-        c = min(BLOCK, m - 1 - start)
-        y_, u_, w = inverse_log_ratio_block(m, start, k[:c], y[:c]), u[:c], k[:c]
-        np.ceil(np.multiply(y_, hi, out=u_), out=u_)
-        np.ceil(np.multiply(y_, lo, out=w), out=w)
-        for j in np.flatnonzero(np.subtract(u_, w, out=w)).tolist():
-            u_[j] = step_budget(m, start + j + 2, delta)
-        yield y_, u_
+    if delta is not None:
+        log_inv_delta = -math.log(delta)
+        s = math.log1p(max(2.0**-51, 2.0**-1073 / delta))
+    for pieces in packed_blocks(ms):
+        y_, u_ = inverse_log_ratio_block(pieces, k, y), None
+        if delta is not None:
+            slack = 2.0**-40 + max(piece[1] for piece in pieces) * 2.0**-50
+            hi, lo = log_inv_delta * (1 + slack), max(log_inv_delta * (1 - slack) - s, 2.0**-1000)
+            u_, w = u[: len(y_)], k[: len(y_)]
+            np.ceil(np.multiply(y_, hi, out=u_), out=u_)
+            np.ceil(np.multiply(y_, lo, out=w), out=w)
+            for j in np.subtract(u_, w, out=w).nonzero()[0].tolist():
+                _, m, start, at, _ = pieces[bisect.bisect(pieces, j, key=lambda p: p[3]) - 1]
+                u_[j] = step_budget(m, start + j - at + 2, delta)
+        yield pieces, y_, u_
 
 
 def step_budget_blocks(m: int, delta: float):
@@ -152,7 +181,7 @@ def step_budget_blocks(m: int, delta: float):
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     yield np.ones(1, dtype=np.int64)  # step 1 always turns up a new state
     size = min(BLOCK, m - 1)
-    for _, u in budget_term_blocks(m, delta, *(np.empty(size) for _ in range(3))):
+    for _, _, u in budget_term_blocks([m], delta, *(np.empty(size) for _ in range(3))):
         yield u.astype(np.int64)
 
 

@@ -51,7 +51,8 @@ class ProblemInstance:
             marked = tuple(map(int, marked))
         if self.n_states < 1:
             raise ValueError(f"n_states must be >= 1, got {self.n_states}")
-        m = len(marked)
+        # a range's size is stop - start: len() fails from 2**63 on
+        m = max(marked.stop - marked.start, 0) if isinstance(marked, range) else len(marked)
         if not 1 <= m <= self.n_states:
             raise ValueError(f"need 1 <= m <= N, got m={m}, N={self.n_states}")
         if isinstance(marked, tuple):
@@ -69,7 +70,8 @@ class ProblemInstance:
 
     @property
     def n_marked(self) -> int:
-        return len(self.marked)
+        marked = self.marked
+        return marked.stop - marked.start if isinstance(marked, range) else len(marked)
 
     @cached_property
     def unmarked_below(self) -> list[int]:
@@ -339,5 +341,5 @@ def _unmarked_at(problem: ProblemInstance, k: int) -> int:
     i-th smallest marked index s (from i = 0) has s - i unmarked ones below it."""
     marked = problem.marked
     if isinstance(marked, range):
-        return k if k < marked.start else k + len(marked)
+        return k if k < marked.start else k + problem.n_marked
     return k + bisect.bisect_right(problem.unmarked_below, k)

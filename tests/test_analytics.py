@@ -8,11 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from recallsearch import analytics
 from recallsearch.analytics import (
-    _budget_total,
-    _inverse_log_ratio_sum,
-    _inverse_log_ratio_terms,
+    _budget_totals,
+    _price_rows,
     compare_models,
+    compare_table,
     duality_queries,
     exact_sum,
     f_of_delta_curve,
@@ -278,7 +279,7 @@ class TestExactSum:
     )
     def test_k_sum_equals_fsum_of_the_terms(self, m):
         k = np.arange(1, m, dtype=np.float64)
-        assert _inverse_log_ratio_sum(m) == math.fsum(1.0 / np.log1p((m - k) / k))
+        assert _price_rows([m])[0] == [math.fsum(1.0 / np.log1p((m - k) / k))]
 
     def test_the_ends_of_the_float_range(self):
         # a grid near 2**1024 would need C = 1.5 * 2**(s + 52) past the float
@@ -346,19 +347,28 @@ class TestExactSum:
         x = np.ldexp(1.0 + rng.random(n), rng.integers(-40, 41, size=n))
         assert exact_sum([x]) == exact_sum(in_blocks(x)) == math.fsum(x)
 
-    def test_k_sum_buffers_are_made_once_per_process(self):
-        # blocks of different m share one buffer, and a three-block k-sum
-        # allocates no BLOCK-sized array
-        assert np.shares_memory(
-            next(_inverse_log_ratio_terms(3 * BLOCK)), next(_inverse_log_ratio_terms(BLOCK))
-        )
+    def test_k_sum_buffers_are_made_once_per_process(self, monkeypatch):
+        # blocks of one row and blocks of several share one buffer, and
+        # pricing them allocates no BLOCK-sized array
+        blocks, reader = [], analytics.budget_term_blocks
+
+        def recorded(*args):
+            for block in reader(*args):
+                blocks.append(block)
+                yield block
+
+        monkeypatch.setattr(analytics, "budget_term_blocks", recorded)
         tracemalloc.start()
         try:
-            _inverse_log_ratio_sum(3 * BLOCK + 1)
+            _price_rows([3 * BLOCK + 1])
+            _price_rows([BLOCK // 2, 2, BLOCK, 3 * BLOCK // 2], 0.01)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < BLOCK * 8 // 4
+        assert {len(pieces) > 1 for pieces, _, _ in blocks} == {False, True}
+        assert all(np.shares_memory(y, analytics._TERMS) for _, y, _ in blocks)
+        assert all(np.shares_memory(u, analytics._LIMB) for _, _, u in blocks if u is not None)
 
     def test_fig1_curve_memory(self):
         tracemalloc.start()
@@ -384,14 +394,15 @@ class TestExactSum:
 class TestBudgetTotal:
     def test_does_not_wrap_int64(self):
         # four budgets of 2**62 sum to 2**64, past int64
-        rising = np.array([1, 2, 2**62, 2**62, 2**62, 2**62], dtype=np.int64)
-        assert _budget_total([np.ones(1, dtype=np.int64), rising]) == 4 + 2**64
-        assert _budget_total([np.full(BLOCK, 2**62 - 1, dtype=np.int64)]) == BLOCK * (2**62 - 1)
-        assert _budget_total([np.full(4, 2**61, dtype=np.int64)]) == 2**63
+        rising = np.array([1, 1, 2, 2**62, 2**62, 2**62, 2**62], dtype=np.int64)
+        assert _budget_totals(rising, [0]) == [4 + 2**64]
+        assert _budget_totals(rising, [0, 3]) == [4, 2**64]
+        assert _budget_totals(np.full(BLOCK, 2**62 - 1, dtype=np.int64), [0]) == [BLOCK * (2**62 - 1)]
+        assert _budget_totals(np.full(4, 2**61, dtype=np.int64), [0]) == [2**63]
 
     def test_int64_path_just_below_the_switch(self):
         budget = 2**62 // BLOCK - 1
-        assert _budget_total([np.full(BLOCK, budget, dtype=np.int64)]) == BLOCK * budget
+        assert _budget_totals(np.full(BLOCK, budget, dtype=np.int64), [0]) == [BLOCK * budget]
 
     def test_compare_models_totals_the_step_budgets(self):
         for m, delta in [(2, 0.01), (BLOCK + 2, 1e-300)]:
@@ -402,9 +413,12 @@ class TestBudgetTotal:
         # the float64 sum is exact below the switch; above it, two budgets
         # of 2**53 - 1 would round to 2**54 in float64
         budget = 2**52 // BLOCK - 1
-        assert _budget_total([np.full(BLOCK, float(budget))]) == BLOCK * budget
+        assert _budget_totals(np.full(BLOCK, float(budget)), [0]) == [BLOCK * budget]
         rising = np.array([1.0, 2.0**53 - 1, 2.0**53 - 1])
-        assert _budget_total([rising]) == 2**54 - 1
+        assert _budget_totals(rising, [0]) == [2**54 - 1]
+        # one segment's last entry past the switch sends every segment to ints
+        both = np.array([3.0, 4.0, 2.0**53 - 1, 2.0**53 - 1])
+        assert _budget_totals(both, [0, 2]) == [7, 2**54 - 2]
 
 
 class TestOnePass:
@@ -427,3 +441,52 @@ class TestOnePass:
         for delta in (0.01, 1e-320, 1 - 2**-53):
             assert compare_models(BLOCK + 2, 2**40, delta).r_integer == sum(
                 step_budget(BLOCK + 2, i, delta) for i in range(1, BLOCK + 3))
+
+
+def row_oracle(m, delta):
+    """One row priced on its own: math.fsum of its terms, made with the same
+    numpy formula, and the scalar budgets' sum."""
+    k = np.arange(1, m, dtype=np.float64)
+    return math.fsum(1.0 / np.log1p((m - k) / k)), sum(
+        step_budget(m, i, delta) for i in range(1, m + 1))
+
+
+ROW_LISTS = {
+    "ones-and-twos": [1, 2, 1, 2, 2, 1],
+    "many-tiny-rows": list(range(1, 200)) + [2] * 50,
+    "around-block": [BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2],
+    "crossing-edges": [3, BLOCK - 1, 5, BLOCK + 2, 1, 2 * BLOCK + 3, 7, 2],
+}
+
+
+class TestPriceRows:
+    @pytest.mark.parametrize("delta", [0.01, 1e-300, 1e-320, 1 - 2**-53])
+    @pytest.mark.parametrize("ms", ROW_LISTS.values(), ids=ROW_LISTS.keys())
+    def test_rows_equal_a_per_row_oracle(self, ms, delta):
+        sums, runs = _price_rows(ms, delta)
+        expected = [row_oracle(m, delta) for m in ms]
+        assert sums == [c for c, _ in expected]
+        assert runs == [r for _, r in expected]
+        assert _price_rows(ms) == (sums, None)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        ms=st.lists(st.one_of(st.integers(min_value=1, max_value=60),
+                              st.integers(min_value=BLOCK - 2, max_value=BLOCK + 2),
+                              st.integers(min_value=1, max_value=2 * BLOCK)),
+                    min_size=1, max_size=6),
+        delta=DELTAS,
+    )
+    def test_any_row_list_equals_the_oracle(self, ms, delta):
+        sums, runs = _price_rows(ms, delta)
+        assert list(zip(sums, runs)) == [row_oracle(m, delta) for m in ms]
+
+    def test_table_rows_equal_one_row_reports(self):
+        ms = [5, 1, BLOCK + 7, 2, 300, 3 * BLOCK // 2]
+        for delta in (0.01, 1e-320):
+            assert compare_table(ms, 2**40, delta) == [
+                compare_models(m, 2**40, delta) for m in ms]
+
+    def test_curve_points_equal_one_row_totals(self):
+        curve = f_of_m_curve(0.01, 1, 3 * BLOCK, 997)
+        assert curve == [(m, total_runs_closed_form(m, 0.01)) for m, _ in curve]

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from recallsearch.cli import _OPTIONS, parse_config, run_command
+from recallsearch import cli
+from recallsearch.cli import _OPTIONS, SIMULATE_MAX_M, parse_config, run_command
 from recallsearch.search import FULL_MAX_N
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -397,6 +398,22 @@ class TestSimulate:
         assert "--n" in err and "--representation" in err
 
 
+    @pytest.mark.parametrize("n,m", [(2**64, 2**63), (2 * SIMULATE_MAX_M, SIMULATE_MAX_M + 1)],
+                             ids=["2**63", "limit+1"])
+    def test_m_above_the_limit_exits_2(self, n, m, capsys):
+        # 2**63 used to end in an OverflowError traceback from len(range(m))
+        with pytest.raises(SystemExit) as done:
+            cli.main(["simulate", "--n", str(n), "--m", str(m), "--delta", "0.1", "--trials", "1"])
+        assert done.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--m must be <= {SIMULATE_MAX_M}" in err and "Traceback" not in err
+
+    def test_m_at_the_limit_is_accepted(self):
+        config = parse_config(["simulate", "--n", str(2 * SIMULATE_MAX_M),
+                               "--m", str(SIMULATE_MAX_M), "--delta", "0.1"])
+        assert config.n_marked == SIMULATE_MAX_M
+
+
 class TestCompare:
     def test_csv_schema_and_values(self, tmp_path):
         out = tmp_path / "cmp.csv"
@@ -461,6 +478,18 @@ class TestQuantumCheck:
 
 
 class TestAlternateFormats:
+    def test_header_fields_are_sorted_once(self, monkeypatch):
+        config = parse_config(["compare", "--n", "64", "--delta", "0.1", "--m-range", "1:3"])
+        header = cli._comment_line(config)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("fields() called per header")
+
+        monkeypatch.setattr(cli, "fields", refuse)
+        assert cli._comment_line(config) == header
+        names = [k for k, _ in cli._resolved_pairs(config)]
+        assert names == sorted(names) and "output_path" not in cli._IDENTITY_FIELDS
+
     def test_curves_json_rows(self, capsys):
         assert run_cli(
             ["curves", "--preset", "fig4", "--points", "5", "--format", "json"]

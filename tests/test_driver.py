@@ -182,6 +182,19 @@ class TestStepBudgets:
         assert step_budgets(20_000, 5e-324) == tuple(scalar_budgets(20_000, 5e-324))
         assert len(calls) < 20
 
+    @settings(max_examples=30, deadline=None)
+    @given(m=st.integers(min_value=1, max_value=3 * BLOCK + 2),
+           delta=st.one_of(st.sampled_from([5e-324, 1e-320, 1e-300, 0.5, 1 - 2**-53]), DELTAS))
+    @example(m=3 * BLOCK + 2, delta=5e-324)
+    @example(m=3 * BLOCK + 2, delta=1 - 2**-53)
+    def test_budgets_never_decrease(self, m, delta):
+        budgets = step_budgets(m, delta)
+        assert all(a <= b for a, b in zip(budgets, budgets[1:]))
+        # steps i = jB + 1 and jB + 2 end one block of k = i - 1 and start the next
+        edges = {1, 2, m} | {i for j in range(1, 4) for i in (j * BLOCK + 1, j * BLOCK + 2)}
+        for i in sorted(e for e in edges if e <= m):
+            assert budgets[i - 1] == step_budget(m, i, delta)
+
     def test_blocks_at_block_boundaries(self):
         for m in (1, 2, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1):
             blocks = [b.copy() for b in step_budget_blocks(m, 0.01)]

@@ -501,6 +501,15 @@ class TestDrawLookup:
 
 
 class TestRangeMarked:
+    def test_size_past_len(self):
+        # len(range(2**63)) raises OverflowError; a range's size is stop - start
+        problem = ProblemInstance(n_states=2**64, marked=range(2**63), delta=0.1)
+        assert problem.n_marked == 2**63
+        assert derive_search_params(problem).n_marked == 2**63
+        assert _unmarked_at(problem, 1) == 2**63 + 1
+        shifted = ProblemInstance(n_states=2**65, marked=range(3, 2**64 + 3), delta=0.1)
+        assert shifted.n_marked == 2**64 and _unmarked_at(shifted, 4) == 2**64 + 4
+
     @settings(max_examples=60, deadline=None)
     @given(k=st.integers(min_value=1, max_value=12), data=st.data())
     def test_range_and_tuple_give_equal_runs(self, k, data):
