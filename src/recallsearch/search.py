@@ -128,8 +128,14 @@ class QuantumState:
         amps = self.amplitudes if _owned else np.array(self.amplitudes, dtype=np.complex128)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-        norm = float(np.vdot(amps, amps).real)
-        if abs(norm - 1.0) > NORM_TOL:
+        if self.representation == FULL:
+            # the float view's sum of squares, without BLAS: a threaded BLAS dot
+            # leaves its pool spinning on the cores that other threads need
+            f = amps.reshape(-1).view(np.float64)
+            norm = float(np.einsum("i,i->", f, f))
+        else:  # two amplitudes: vdot costs less per call, and never threads
+            norm = float(np.vdot(amps, amps).real)
+        if not abs(norm - 1.0) <= NORM_TOL:  # NaN and inf fail too
             raise ValueError(f"state is not normalized: sum |a|^2 = {norm!r}")
 
     # What draws read, built on first use and kept: CDF and total (FULL), marked mass.

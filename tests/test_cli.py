@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -476,6 +477,15 @@ class TestQuantumCheck:
         assert run_cli(["quantum-check", "--max-n", "8"]) == 3
         assert "FAIL" in capsys.readouterr().out
 
+    def test_nan_deviation_fails_and_exits_3(self, monkeypatch, capsys):
+        # max(0.0, nan) is 0.0: a NaN must not fold away into a passing sweep
+        monkeypatch.setattr(cli, "success_probability", lambda *a, **k: float("nan"))
+        assert run_cli(["quantum-check", "--max-n", "8"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:3] == ["N=4: worst |1 - p_success| = nan",
+                              "N=8: worst |1 - p_success| = nan"]
+        assert lines[3] == "max deviation over grid: nan (threshold 1.0e-09) FAIL"
+
 
 class TestAlternateFormats:
     def test_header_fields_are_sorted_once(self, monkeypatch):
@@ -675,8 +685,9 @@ def test_marked_paths_match_golden_hash(argv, digest, capsys):
 
 
 def test_quantum_check_memory_bound(capsys):
-    # the sweep evolves one statevector at a time, in place: at N = 2^17 that
-    # is 2 MiB of amplitudes, with no m-element index set and no copies
+    # the sweep evolves at most two statevectors at a time, in place: at
+    # N = 2^17 that is 2 MiB of amplitudes each, with no m-element index set
+    # and no copies
     argv = ["quantum-check", "--max-n", "131072"]
     tracemalloc.start()
     try:
@@ -686,6 +697,82 @@ def test_quantum_check_memory_bound(capsys):
         tracemalloc.stop()
     capsys.readouterr()
     assert peak < 6 * 2**20
+
+
+QC_ARGV, QC_DIGEST = GOLDEN_MARKED[0]
+
+
+class TestQuantumCheckLanes:
+    """The long FULL evolutions run in two lanes, one on a thread."""
+
+    def test_each_deviation_equals_sequential_evaluation(self, monkeypatch, capsys):
+        from recallsearch import search
+
+        seen, threads = {}, set()
+
+        def recording(problem, params, representation):
+            p = search.success_probability(problem, params, representation)
+            seen[problem.n_states, problem.n_marked, representation] = p
+            threads.add(threading.current_thread() is threading.main_thread())
+            return p
+
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "success_probability", recording)
+        before = threading.active_count()
+        assert run_cli(QC_ARGV) == 0
+        assert threading.active_count() == before
+        capsys.readouterr()
+        assert threads == {True, False}
+        expected = {}
+        n = 4
+        while n <= 131072:
+            for m in sorted({1, 2, 3, n // 4, n // 2, n}):
+                problem = search.ProblemInstance(n_states=n, marked=range(m), delta=0.5)
+                params = search.derive_search_params(problem)
+                for rep in (search.SUBSPACE, search.FULL):
+                    p = search.success_probability(problem, params, rep)
+                    expected[n, m, rep] = abs(1.0 - p).hex()
+            n *= 2
+        assert {k: abs(1.0 - p).hex() for k, p in seen.items()} == expected
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread was started with one usable CPU")
+
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(cli.threading, "Thread", refuse)
+        assert run_cli(QC_ARGV) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == QC_DIGEST
+
+    @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_worker_lane_error_surfaces_after_join(self, monkeypatch, capsys):
+        from recallsearch import search
+
+        error = ValueError("worker lane failed")
+        unhandled = []
+
+        def failing_off_main(*args):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.3)  # still running when the main lane is done
+                raise error
+            return search.success_probability(*args)
+
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "success_probability", failing_off_main)
+        monkeypatch.setattr(threading, "excepthook", unhandled.append)
+        before = threading.active_count()
+        with pytest.raises(ValueError) as exc:
+            run_cli(QC_ARGV)
+        assert exc.value is error
+        assert threading.active_count() == before
+        with pytest.raises(SystemExit) as exc:
+            cli.main(QC_ARGV)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: worker lane failed\n"
+        assert threading.active_count() == before
+        assert unhandled == []
 
 
 @pytest.mark.parametrize("module", ["recallsearch", "recallsearch.cli"])

@@ -387,6 +387,23 @@ class TestStateAndMeasure:
         with pytest.raises(ValueError, match="normalized"):
             QuantumState(FULL, np.array([1.0, 1.0], dtype=complex))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    @pytest.mark.parametrize("representation", [FULL, SUBSPACE])
+    def test_rejects_non_finite_amplitudes(self, bad, representation):
+        # NaN compares False with everything, so the check must not be "drift > tol"
+        with pytest.raises(ValueError, match="state is not normalized"):
+            QuantumState(representation, np.array([bad, 0.0], dtype=complex))
+
+    def test_full_norm_check_makes_no_blas_call(self, monkeypatch):
+        # a threaded BLAS dot leaves its pool spinning on the quantum-check lanes' cores
+        def refuse(*args):
+            raise AssertionError("np.vdot called on a full state")
+
+        monkeypatch.setattr(np, "vdot", refuse)
+        prob = problem(2**12, 3)
+        state = final_state(prob, derive_search_params(prob), FULL)
+        assert marked_mass(state, prob) == pytest.approx(1.0, abs=1e-9)
+
     def test_rejects_unknown_representation(self):
         with pytest.raises(ValueError, match="representation"):
             QuantumState("sparse", np.array([1.0], dtype=complex))
