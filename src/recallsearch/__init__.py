@@ -34,7 +34,6 @@ from .driver import (
 from .montecarlo import (
     TrialStats,
     chi_square_uniformity,
-    empirical_vs_closed_form,
     run_trials,
     trial_stream,
 )
@@ -52,7 +51,6 @@ from .search import (
     measure,
     prepare_uniform,
     run_search_once,
-    search_params,
     success_probability,
 )
 
@@ -79,7 +77,6 @@ __all__ = [
     "compare_models",
     "derive_search_params",
     "duality_queries",
-    "empirical_vs_closed_form",
     "execute_trial",
     "f_of_delta_curve",
     "f_of_m_curve",
@@ -90,7 +87,6 @@ __all__ = [
     "resolve_step_delta",
     "run_search_once",
     "run_trials",
-    "search_params",
     "step_budget",
     "step_budgets",
     "success_probability",

@@ -9,9 +9,10 @@ which is affine in ln(1/delta): the k-sum is computed once per m and the
 ln(1/delta) factor applied after. One kernel (_price_rows) prices any list of
 m for curves, compare tables and one-row reports alike: it packs the rows'
 terms into shared numpy blocks in buffers made once per process, reads the
-step budgets off the terms, and sums each row exactly, equal bit for bit to
-math.fsum of its terms. Query totals price each run at the exact per-run
-iteration count, giving the asymptotic sqrt(N/m) factor a concrete constant.
+step budgets off the terms, and sums each row's terms, all under m, exactly in
+float limbs (_limb_sums), equal bit for bit to math.fsum. Query totals price
+each run at the exact per-run iteration count, giving the asymptotic sqrt(N/m)
+factor a concrete constant.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .driver import BLOCK, budget_term_blocks
-from .search import search_params
+from .search import SearchParams
 
 # The k-sum's work buffers: the terms, and the limb loop's limb and remainder,
 # which hold a block's budgets and k while it is made. One set per process, so
@@ -61,20 +62,18 @@ def _units(v: float) -> int:
 
 
 def _limb_sums(x, top: int, low: int, starts) -> list[int]:
-    """Exact sums of the segments of at most BLOCK positive finite values x
-    that begin at each index in starts, in units of 2**-1074, given every
+    """Exact sums of the segments of 1..BLOCK positive finite values x that
+    begin at each index in starts, in units of 2**-1074, given every
     x < 2**top and a multiple of 2**low. x is cut from the top into float limbs
     (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31(1), 2008): with
     C = 1.5 * 2**(s + 52), q = (x + C) - C is x rounded to a multiple of 2**s,
     and x - q is exact and at most 2**(s - 1). A limb spans at most `width`
     bits above 2**s, so its n values sum exactly, in any order or segment,
-    while n * 2**width < 2**53. Values too near 2**1024 are added one by one,
-    as one segment: only exact_sum's chunks reach them, as the kernel's terms
-    stay under m.
+    while n * 2**width < 2**53. C and the limb sums stay finite while
+    top - width <= 970: the kernel's terms are under m, so it holds for any
+    m < 2**1000.
     """
     width = min(53 - len(x).bit_length(), 51)  # 51: x + C <= 2**(s+53)
-    if top - width > 970:  # C or a limb sum would pass 2**1023
-        return [sum(map(_units, x.tolist()))]
     totals = [0] * len(starts)
     q, rest = _LIMB[: len(x)], _REST[: len(x)]
     while top - width > low:
@@ -86,24 +85,6 @@ def _limb_sums(x, top: int, low: int, starts) -> list[int]:
         x = np.subtract(x, q, out=rest)
         top = s - 1  # every |x| <= 2**top
     return [t + _units(v) for t, v in zip(totals, np.add.reduceat(x, starts).tolist())]  # on 2**low
-
-
-def exact_sum(blocks) -> float:
-    """Exactly rounded sum of 1-D float64 arrays of positive finite values,
-    equal bit for bit to math.fsum of their concatenation.
-
-    Chunks of at most BLOCK values go to _limb_sums, bounded by their largest
-    and smallest values, and their sums are rounded once, half to even, as
-    fsum rounds.
-    """
-    total = 0
-    for block in blocks:
-        for i in range(0, len(block), BLOCK):
-            x = block[i : i + BLOCK]
-            top = math.frexp(np.maximum.reduce(x))[1]  # every x < 2**top
-            low = max(math.frexp(np.minimum.reduce(x))[1] - 53, -1074)
-            total += _limb_sums(x, top, low, [0])[0]
-    return total / _UNITS_PER_ONE  # int / int rounds correctly, overflow raises
 
 
 def _budget_totals(u, starts) -> list[int]:
@@ -213,7 +194,7 @@ def duality_queries(m: int, n_states: int) -> float:
 def compare_table(ms, n_states: int, delta: float) -> list[ComplexityReport]:
     """Every cost figure for each m in the sequence ms at one (N, delta), plus
     the quantum-over-deletion query ratio (None when the deletion count is 0)."""
-    params = [search_params(n_states, m) for m in ms]
+    params = [SearchParams(n_states, m) for m in ms]
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     log_inv_delta, reports = -math.log(delta), []

@@ -473,11 +473,6 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
 def _validate(config: RunConfig) -> None:
     error = _PARSER.error
     cmd = config.command
-    if config.marked is not None:
-        if len(set(config.marked)) != len(config.marked):
-            error("--marked: indices must be distinct")
-        config.n_marked = len(config.marked)
-
     if cmd in _PROBLEM:
         if config.n_states is None:
             error(f"{cmd}: --n is required")
@@ -486,6 +481,15 @@ def _validate(config: RunConfig) -> None:
         if not 0.0 < config.delta < 1.0:
             error(f"--delta must be in (0, 1), got {config.delta}")
 
+    if config.marked is not None:  # only the problem commands take --marked
+        if not config.marked:
+            error("--marked: at least one index is required")
+        if len(set(config.marked)) != len(config.marked):
+            error("--marked: indices must be distinct")
+        if min(config.marked) < 0 or max(config.marked) >= config.n_states:
+            error(f"--marked: indices must lie in [0, {config.n_states})")
+        config.n_marked = len(config.marked)
+
     if cmd in ("analyze", "simulate"):
         if config.n_marked is None:
             error(f"{cmd}: --m or --marked is required")
@@ -493,10 +497,6 @@ def _validate(config: RunConfig) -> None:
             error(f"--m must satisfy 1 <= m <= N, got m={config.n_marked}, N={config.n_states}")
         if cmd == "simulate" and config.n_marked > SIMULATE_MAX_M:
             error(f"--m must be <= {SIMULATE_MAX_M} for simulate, got {config.n_marked}")
-        if config.marked is not None and (
-            min(config.marked) < 0 or max(config.marked) >= config.n_states
-        ):
-            error(f"--marked: indices must lie in [0, {config.n_states})")
         try:
             resolve_step_delta(config.delta, config.n_marked, config.delta_mode)
         except ValueError as exc:

@@ -25,7 +25,6 @@ from .search import (
     FULL,
     ProblemInstance,
     SearchParams,
-    _check_shape,
     final_state,
     measure_at,
     require_matching_params,
@@ -172,24 +171,19 @@ def budget_term_blocks(ms, delta: float | None, k, y, u):
         yield pieces, y_, u_
 
 
-def step_budget_blocks(m: int, delta: float):
-    """Yield r_1..r_m in order as int64 arrays of at most BLOCK entries, each
-    equal to step_budget(m, i, delta); see budget_term_blocks."""
+def step_budgets(m: int, delta: float) -> tuple[int, ...]:
+    """r_1..r_m, equal to [step_budget(m, i, delta) for i in 1..m], read off
+    the k-sum's terms block by block; see budget_term_blocks."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    yield np.ones(1, dtype=np.int64)  # step 1 always turns up a new state
+    budgets, i = np.ones(m, dtype=np.int64), 1  # step 1 always turns up a new state
     size = min(BLOCK, m - 1)
     for _, _, u in budget_term_blocks([m], delta, *(np.empty(size) for _ in range(3))):
-        yield u.astype(np.int64)
-
-
-def step_budgets(m: int, delta: float) -> tuple[int, ...]:
-    """r_1..r_m, equal to [step_budget(m, i, delta) for i in 1..m]; see
-    step_budget_blocks."""
-    return tuple(itertools.chain.from_iterable(
-        block.tolist() for block in step_budget_blocks(m, delta)))
+        budgets[i : i + len(u)] = u
+        i += len(u)
+    return tuple(budgets.tolist())
 
 
 def build_plan(problem: ProblemInstance, params: SearchParams) -> StepPlan:
@@ -240,9 +234,9 @@ class IdealSampler:
 class QuantumSampler:
     """Measurement draws from the simulated final state of one exact run.
 
-    The run's evolution is deterministic, so the final state is built and its
-    shape checked once; each draw is a fresh measurement of it, exactly as a
-    per-draw simulation would produce.
+    The run's evolution is deterministic, so the final state is built once;
+    each draw is a fresh measurement of it, exactly as a per-draw simulation
+    would produce.
     """
 
     def __init__(self, problem: ProblemInstance, params: SearchParams, representation: str = FULL):
@@ -250,7 +244,6 @@ class QuantumSampler:
         self.problem = problem
         self.queries_per_draw = params.iterations
         self._final = final_state(problem, params, representation)
-        _check_shape(self._final, problem)
 
     def draw(self, rng: np.random.Generator) -> int:
         return measure_at(self._final, self.problem, rng.random())

@@ -13,9 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytics import total_runs_closed_form
-from .driver import Budgeted, IdealSampler, TrialOutcome, build_plan, execute_trial
-from .search import ProblemInstance, derive_search_params
+from .driver import TrialOutcome, execute_trial
+from .search import ProblemInstance
+
 
 @dataclass(frozen=True)
 class TrialStats:
@@ -160,27 +160,3 @@ def chi_square_critical(dof: int) -> float:
             break
     return 2.0 * y
 
-
-def empirical_vs_closed_form(
-    problem: ProblemInstance,
-    n_trials: int,
-    master_seed: int,
-    sampler=None,
-) -> dict:
-    """Closed-form run budget next to what simulation actually spends.
-
-    The closed form is a confidence budget (runs sufficient for each step to
-    succeed with probability 1-delta), not an expected cost, so the
-    empirical mean sits well below the budget.
-    """
-    params = derive_search_params(problem)
-    plan = build_plan(problem, params)
-    if sampler is None:
-        sampler = IdealSampler(problem, params)
-    stats = run_trials(problem, Budgeted(plan), sampler, n_trials, master_seed)
-    return {
-        "r_real": total_runs_closed_form(problem.n_marked, problem.delta),
-        "total_runs_budget": plan.total_runs_budget,
-        "empirical_mean_runs": stats.mean_runs,
-        "empirical_success_rate": stats.overall_success_rate,
-    }

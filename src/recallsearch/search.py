@@ -152,13 +152,8 @@ class QuantumState:
         return float(abs(self.amplitudes[0]) ** 2)
 
 
-def search_params(n: int, m: int) -> SearchParams:
-    """Iteration count and matched phase for one exact run; see SearchParams."""
-    return SearchParams(n, m)
-
-
 def derive_search_params(problem: ProblemInstance) -> SearchParams:
-    return search_params(problem.n_states, problem.n_marked)
+    return SearchParams(problem.n_states, problem.n_marked)
 
 
 def prepare_uniform(problem: ProblemInstance, representation: str = FULL) -> QuantumState:

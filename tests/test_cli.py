@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import recallsearch
 from recallsearch import cli
 from recallsearch.cli import _OPTIONS, SIMULATE_MAX_M, parse_config, run_command
 from recallsearch.search import FULL_MAX_N
@@ -24,6 +25,24 @@ def run_cli(argv):
 
 def read_lines(path):
     return path.read_text().splitlines()
+
+
+# The package's public surface: adding or removing a name changes this list.
+PUBLIC_NAMES = [
+    "Budgeted", "ComplexityReport", "FULL", "IdealSampler", "OVERALL", "PER_STEP",
+    "ProblemInstance", "QuantumSampler", "QuantumState", "SUBSPACE", "SearchParams",
+    "StepPlan", "TrialOutcome", "TrialStats", "Unbounded", "apply_diffusion_phase",
+    "apply_oracle_phase", "build_plan", "chi_square_uniformity", "compare_models",
+    "derive_search_params", "duality_queries", "execute_trial", "f_of_delta_curve",
+    "f_of_m_curve", "final_state", "marked_mass", "measure", "prepare_uniform",
+    "resolve_step_delta", "run_search_once", "run_trials", "step_budget", "step_budgets",
+    "success_probability", "total_runs_closed_form", "trial_stream",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(recallsearch.__all__) == PUBLIC_NAMES
+    assert all(hasattr(recallsearch, name) for name in PUBLIC_NAMES)
 
 
 class TestParseConfig:
@@ -105,9 +124,12 @@ class TestParseConfig:
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
         assert parse_config(["analyze", "--n", "16", "--m", "1", "--delta", "0.1"]).n_states == 16
 
-    def test_marked_below_zero_exits_2(self, capsys):
+    @pytest.mark.parametrize("marked", ["-1,3", "3,64", ","])
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "compare"])
+    def test_marked_below_zero_exits_2(self, capsys, command, marked):
+        # out of [0, N) below or above, or no index at all: --marked is named
         with pytest.raises(SystemExit) as exc:
-            parse_config(["simulate", "--n", "64", "--marked", "-1,3", "--delta", "0.1"])
+            parse_config([command, "--n", "64", "--marked", marked, "--delta", "0.1"])
         assert exc.value.code == 2
         assert "--marked" in capsys.readouterr().err
 

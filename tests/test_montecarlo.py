@@ -6,6 +6,7 @@ import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from recallsearch.analytics import total_runs_closed_form
 from recallsearch.driver import (
     Budgeted,
     IdealSampler,
@@ -20,7 +21,6 @@ from recallsearch.montecarlo import (
     _trial_streams,
     chi_square_critical,
     chi_square_uniformity,
-    empirical_vs_closed_form,
     run_trials,
     trial_stream,
 )
@@ -197,35 +197,39 @@ class TestChiSquare:
 
 
 class TestEmpiricalVsClosedForm:
-    def test_single_marked_all_ones(self):
-        row = empirical_vs_closed_form(problem(16, 1), 200, 3)
-        assert row["r_real"] == 1.0
-        assert row["total_runs_budget"] == 1
-        assert row["empirical_mean_runs"] == 1.0
-        assert row["empirical_success_rate"] == 1.0
+    """The closed-form run budget next to what budgeted ideal trials spend: a
+    confidence budget, not an expected cost, so the mean sits well below it."""
 
-    def test_m2_budget_is_loose_bound_on_mean(self):
-        prob = problem(1024, 2, delta=0.01)
+    @staticmethod
+    def budgeted_trials(prob, n_trials, seed):
         params = derive_search_params(prob)
         plan = build_plan(prob, params)
-        row = empirical_vs_closed_form(prob, 20000, 17)
+        return plan, run_trials(prob, Budgeted(plan), IdealSampler(prob, params), n_trials, seed)
+
+    def test_single_marked_all_ones(self):
+        prob = problem(16, 1)
+        plan, stats = self.budgeted_trials(prob, 200, 3)
+        assert total_runs_closed_form(prob.n_marked, prob.delta) == 1.0
+        assert plan.total_runs_budget == 1
+        assert stats.mean_runs == 1.0
+        assert stats.overall_success_rate == 1.0
+
+    def test_m2_budget_is_loose_bound_on_mean(self):
+        plan, stats = self.budgeted_trials(problem(1024, 2, delta=0.01), 20000, 17)
         expected_mean = expected_budgeted_runs(plan, 2)
         assert expected_mean == pytest.approx(1 + 1.984375, rel=1e-12)
-        assert row["empirical_mean_runs"] == pytest.approx(expected_mean, abs=0.05)
-        assert row["empirical_mean_runs"] < row["total_runs_budget"]
-        assert row["total_runs_budget"] == 8
-        assert row["empirical_success_rate"] == pytest.approx(
+        assert stats.mean_runs == pytest.approx(expected_mean, abs=0.05)
+        assert stats.mean_runs < plan.total_runs_budget
+        assert plan.total_runs_budget == 8
+        assert stats.overall_success_rate == pytest.approx(
             exact_overall_success(plan, 2), abs=0.005
         )
 
     def test_m10_mean_tracks_exact_expectation(self):
-        prob = problem(1024, 10, delta=0.01)
-        params = derive_search_params(prob)
-        plan = build_plan(prob, params)
-        row = empirical_vs_closed_form(prob, 8000, 29)
+        plan, stats = self.budgeted_trials(problem(1024, 10, delta=0.01), 8000, 29)
         expected_mean = expected_budgeted_runs(plan, 10)
-        assert row["empirical_mean_runs"] == pytest.approx(expected_mean, rel=0.03)
-        assert row["empirical_mean_runs"] < row["total_runs_budget"]
+        assert stats.mean_runs == pytest.approx(expected_mean, rel=0.03)
+        assert stats.mean_runs < plan.total_runs_budget
 
 
 class TestQuantumIdealAgreement:

@@ -12,6 +12,7 @@ from recallsearch.search import (
     SUBSPACE,
     ProblemInstance,
     QuantumState,
+    SearchParams,
     apply_diffusion_phase,
     apply_oracle_phase,
     derive_search_params,
@@ -23,7 +24,6 @@ from recallsearch.search import (
     require_matching_params,
     run_search_once,
     _unmarked_at,
-    search_params,
     success_probability,
 )
 from recallsearch.driver import QuantumSampler
@@ -89,16 +89,16 @@ class TestDeriveParams:
 
     def test_search_params_from_counts(self):
         for n, m in [(4, 1), (1024, 4), (1000, 3), (6, 6)]:
-            assert search_params(n, m) == derive_search_params(problem(n, m))
+            assert SearchParams(n, m) == derive_search_params(problem(n, m))
         with pytest.raises(ValueError, match="1 <= m <= N"):
-            search_params(4, 5)
+            SearchParams(4, 5)
         with pytest.raises(ValueError, match="underflows"):
-            search_params(2**1100, 2)
+            SearchParams(2**1100, 2)
 
 
 def formula_params(n, m):
-    """(beta, j, iterations, phi) by the formula search_params used before
-    SearchParams was built from (N, m)."""
+    """(beta, j, iterations, phi) by the formula in use before SearchParams
+    was built from (N, m)."""
     beta = math.asin(math.sqrt(m / n))
     if m == n:
         return beta, 0, 0, 0.0
@@ -109,7 +109,7 @@ def formula_params(n, m):
 class TestParamsProvenance:
     @staticmethod
     def assert_formula(n, m):
-        params = search_params(n, m)
+        params = SearchParams(n, m)
         assert (params.n_states, params.n_marked) == (n, m)
         assert (params.beta, params.j, params.iterations, params.phi) == formula_params(n, m)
 
@@ -126,12 +126,12 @@ class TestParamsProvenance:
 
     def test_rejects_like_before(self):
         with pytest.raises(ValueError, match=r"^need 1 <= m <= N, got m=5, N=4$"):
-            search_params(4, 5)
+            SearchParams(4, 5)
         with pytest.raises(ValueError, match=r"^need 1 <= m <= N, got m=0, N=4$"):
-            search_params(4, 0)
+            SearchParams(4, 0)
         with pytest.raises(ValueError, match=r"^m/N underflows to 0 in floating point, got m=2, "
                                              r"N=" + str(2**1100) + "$"):
-            search_params(2**1100, 2)
+            SearchParams(2**1100, 2)
 
     def test_matching_compares_counts(self):
         params = derive_search_params(problem(64, (1, 5, 9)))
@@ -143,7 +143,7 @@ class TestParamsProvenance:
 
     def test_equal_angles_from_other_counts_do_not_match(self):
         # (4, 1) and (8, 2) share m/N and so every angle, but not (N, m)
-        a, b = search_params(4, 1), search_params(8, 2)
+        a, b = SearchParams(4, 1), SearchParams(8, 2)
         assert (a.beta, a.j, a.iterations, a.phi) == (b.beta, b.j, b.iterations, b.phi)
         with pytest.raises(ValueError, match="derived"):
             require_matching_params(problem(8, 2), a)
