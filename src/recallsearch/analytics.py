@@ -10,26 +10,35 @@ ln(1/delta) factor applied after. One kernel (_price_rows) prices any list of
 m for curves, compare tables and one-row reports alike: it packs the rows'
 terms into shared numpy blocks in buffers made once per process, reads the
 step budgets off the terms, and sums each row's terms, all under m, exactly in
-float limbs (_limb_sums), equal bit for bit to math.fsum. Query totals price
-each run at the exact per-run iteration count, giving the asymptotic sqrt(N/m)
-factor a concrete constant.
+float limbs (_limb_sums), equal bit for bit to math.fsum. From LANE_TERMS
+terms on, and with two usable CPUs, the blocks alternate between two lanes,
+one on a thread, each with its own buffers and integer per-row totals; the
+totals are added after the join, so the result does not depend on the lanes.
+Query totals price each run at the exact per-run iteration count, giving the
+asymptotic sqrt(N/m) factor a concrete constant.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import BLOCK, budget_term_blocks
+from .driver import BLOCK, _run_lanes, _usable_cpus, budget_term_blocks, packed_blocks
 from .search import SearchParams
 
-# The k-sum's work buffers: the terms, and the limb loop's limb and remainder,
-# which hold a block's budgets and k while it is made. One set per process, so
-# pricing allocates nothing per m; two threads must not price at once.
-_TERMS, _LIMB, _REST = np.empty(BLOCK), np.empty(BLOCK), np.empty(BLOCK)
+# The k-sum's work buffers, one set per pricing lane: (rest, terms, limb). The
+# limb loop's remainder and limb hold a block's k and budgets while it is
+# made. Both sets are made here, once per process and on the importing thread,
+# so pricing allocates nothing per m and a lane's thread makes none. A pricing
+# call owns both sets, so two callers' threads must not price at once.
+_BUFFERS = tuple(tuple(np.empty(BLOCK) for _ in range(3)) for _ in range(2))
 _UNITS_PER_ONE = 2**1074  # the smallest subnormal is 2**-1074
+# Fewest k-sum terms in one pricing call that pay for a second lane: below
+# this, the GIL hand-offs between a block's short numpy calls outweigh them.
+LANE_TERMS = 2**20
 
 
 @dataclass(frozen=True)
@@ -61,7 +70,7 @@ def _units(v: float) -> int:
     return num << (1075 - den.bit_length())
 
 
-def _limb_sums(x, top: int, low: int, starts) -> list[int]:
+def _limb_sums(x, top: int, low: int, starts, limb, rest) -> list[int]:
     """Exact sums of the segments of 1..BLOCK positive finite values x that
     begin at each index in starts, in units of 2**-1074, given every
     x < 2**top and a multiple of 2**low. x is cut from the top into float limbs
@@ -71,11 +80,11 @@ def _limb_sums(x, top: int, low: int, starts) -> list[int]:
     bits above 2**s, so its n values sum exactly, in any order or segment,
     while n * 2**width < 2**53. C and the limb sums stay finite while
     top - width <= 970: the kernel's terms are under m, so it holds for any
-    m < 2**1000.
+    m < 2**1000. limb and rest are work buffers at least as long as x.
     """
     width = min(53 - len(x).bit_length(), 51)  # 51: x + C <= 2**(s+53)
     totals = [0] * len(starts)
-    q, rest = _LIMB[: len(x)], _REST[: len(x)]
+    q, rest = limb[: len(x)], rest[: len(x)]
     while top - width > low:
         s = top - width
         c = math.ldexp(1.5, s + 52)
@@ -99,26 +108,52 @@ def _budget_totals(u, starts) -> list[int]:
     return [sum(map(int, u[a:b].tolist())) for a, b in zip(starts, ends)]
 
 
+def _price_blocks(blocks, delta: float | None, buffers, units, runs) -> None:
+    """Add the packed blocks' exact per-row totals to units, the k-sum in
+    units of 2**-1074, and, unless delta is None, to runs, the budgets of
+    steps 2..m, working in buffers (rest, terms, limb).
+
+    A row's terms rise with k, so each piece's first and last term bound the
+    block's limbs, with a bit to spare on each side for rounding; each piece
+    sums to its row.
+    """
+    rest, terms, limb = buffers
+    for pieces, y, u in budget_term_blocks(blocks, delta, rest, terms, limb):
+        starts = [p[3] for p in pieces]
+        if u is not None:  # totalled before _limb_sums reuses limb
+            for p, r in zip(pieces, _budget_totals(u, starts)):
+                runs[p[0]] += r
+        top = math.frexp(max(y[at + count - 1] for _, _, _, at, count in pieces))[1] + 1
+        low = max(math.frexp(min(y[p[3]] for p in pieces))[1] - 54, -1074)
+        for p, v in zip(pieces, _limb_sums(y, top, low, starts, limb, rest)):
+            units[p[0]] += v
+
+
 def _price_rows(ms, delta: float | None = None):
     """The k-sum sum_{k=1}^{m-1} 1/ln(m/k) of each m in ms, exactly rounded
     (equal to math.fsum of its float terms), and, unless delta is None, each
     row's budget total r_1 + ... + r_m.
 
-    The rows' terms share blocks (driver.packed_blocks). A row's terms rise
-    with k, so each piece's first and last term bound the block's limbs, with
-    a bit to spare on each side for rounding; each piece sums to its row.
+    The rows' terms share blocks (driver.packed_blocks). With LANE_TERMS
+    terms or more and two usable CPUs, the blocks alternate between two lanes
+    (driver._run_lanes), each adding to its own integer totals; integer sums
+    do not depend on order, so the lanes change no bit of the result. Each
+    lane walks the blocks and skips the other's, which costs about 1 ms for
+    fig1; a list of the blocks would hold every piece at once.
     """
     units = [0] * len(ms)
     runs = None if delta is None else [1] * len(ms)  # step 1 is one run
-    for pieces, y, u in budget_term_blocks(ms, delta, _REST, _TERMS, _LIMB):
-        starts = [p[3] for p in pieces]
-        if u is not None:  # totalled before _limb_sums reuses _LIMB
-            for p, r in zip(pieces, _budget_totals(u, starts)):
-                runs[p[0]] += r
-        top = math.frexp(max(y[at + count - 1] for _, _, _, at, count in pieces))[1] + 1
-        low = max(math.frexp(min(y[p[3]] for p in pieces))[1] - 54, -1074)
-        for p, v in zip(pieces, _limb_sums(y, top, low, starts)):
-            units[p[0]] += v
+    if sum(ms) - len(ms) < LANE_TERMS or _usable_cpus() < 2:
+        _price_blocks(packed_blocks(ms), delta, _BUFFERS[0], units, runs)
+    else:
+        more_units, more_runs = [0] * len(ms), None if runs is None else [0] * len(ms)
+        totals = [(units, runs), (more_units, more_runs)]
+        _run_lanes(range(2), lambda lane: _price_blocks(
+            itertools.islice(packed_blocks(ms), lane, None, 2), delta, _BUFFERS[lane],
+            *totals[lane]))
+        units = [a + b for a, b in zip(units, more_units)]
+        if runs is not None:
+            runs = [a + b for a, b in zip(runs, more_runs)]
     return [v / _UNITS_PER_ONE for v in units], runs
 
 

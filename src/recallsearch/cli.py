@@ -22,7 +22,6 @@ import argparse
 import json
 import os
 import sys
-import threading
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 from functools import partial
@@ -39,6 +38,8 @@ from .driver import (
     IdealSampler,
     QuantumSampler,
     Unbounded,
+    _run_lanes,
+    _usable_cpus,
     build_plan,
     resolve_step_delta,
 )
@@ -227,43 +228,13 @@ def _cmd_compare(config: RunConfig) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _run_lanes(lanes: list[list], run: Callable[[list], None]) -> None:
-    """run(lane) for every lane: the first here, each other on its own thread.
-    Every thread is joined before this returns or raises; a lane's error is
-    raised here, after the joins."""
-    errors = []
-
-    def guarded(lane):
-        try:
-            run(lane)
-        except BaseException as exc:  # re-raised by the caller's thread
-            errors.append(exc)
-
-    threads = [threading.Thread(target=guarded, args=(lane,)) for lane in lanes[1:]]
-    for thread in threads:
-        thread.start()
-    try:
-        run(lanes[0])
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-
-
 def _cmd_quantum_check(config: RunConfig) -> tuple[str, int]:
     """Exactness sweep: max |1 - p_success| over the power-of-two grid.
 
     The FULL evolutions of O(sqrt N) rounds (m <= 3 at N >= 2**15) spend
     their time in numpy calls that release the GIL, so they run first in two
-    lanes, balanced by N * iterations: one here, one on a thread. Everything
+    lanes, balanced by N * iterations: one here, one on a thread, through
+    driver._run_lanes, the helper k-sum pricing also uses. Everything
     else runs after the join, here and in grid order; below 2**15 the
     per-round Python work would contend for the GIL, and the m ~ N jobs hold
     m-element temporaries. With one usable CPU there is one lane and no

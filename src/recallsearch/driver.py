@@ -17,6 +17,9 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import os
+import threading
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +38,13 @@ OVERALL = "overall"
 
 # Entries per vectorized block: the closed-form kernels work in buffers of
 # at most this many float64s, reused from block to block, so their memory
-# does not grow with m; 16384 (128 KiB a buffer) timed fastest for the
-# k-sum. RAMP, 1..BLOCK, is made once per process; the kernels offset it.
-BLOCK = 16384
+# does not grow with m. 32768 (256 KiB a buffer) suits two pricing lanes: a
+# ufunc call over 16384 terms takes 5-27 us, about what a hand-off of the GIL
+# between the lanes costs, and there fig1 priced slower in two lanes than in
+# one (medians 0.48 s against 0.39 s); at 32768, 0.31 s against 0.35 s. Larger
+# blocks made one lane slower (0.42 s at 49152, 0.50 s at 65536) and hold
+# more memory. RAMP, 1..BLOCK, is made once per process; the kernels offset it.
+BLOCK = 32768
 RAMP = np.arange(1.0, BLOCK + 1)
 
 
@@ -70,6 +77,37 @@ class Budgeted:
 @dataclass(frozen=True)
 class Unbounded:
     pass
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_lanes(lanes: Sequence, run: Callable) -> None:
+    """run(lane) for every lane: the first here, each other on its own thread.
+    Every thread is joined before this returns or raises; a lane's error is
+    raised here, after the joins."""
+    errors = []
+
+    def guarded(lane):
+        try:
+            run(lane)
+        except BaseException as exc:  # re-raised by the caller's thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(lane,)) for lane in lanes[1:]]
+    for thread in threads:
+        thread.start()
+    try:
+        run(lanes[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def step_budget(m: int, i: int, delta: float) -> int:
@@ -129,12 +167,12 @@ def inverse_log_ratio_block(pieces, k, out):
     return np.divide(1.0, out, out=out)
 
 
-def budget_term_blocks(ms, delta: float | None, k, y, u):
-    """Yield (pieces, terms, budgets) for each block of packed_blocks(ms), as
-    views of the float64 buffers y and u that the next block overwrites: the
+def budget_term_blocks(blocks, delta: float | None, k, y, u):
+    """Yield (pieces, terms, budgets) for each block of blocks (packed_blocks),
+    as views of the float64 buffers y and u that the next block overwrites: the
     terms y = 1/ln(m/k) of inverse_log_ratio_block and, unless delta is None,
     r_i = step_budget(m, i, delta), i = k + 1, as floats, read off y. k is a
-    work buffer; each buffer holds at least min(BLOCK, sum of m - 1) entries.
+    work buffer; each buffer holds at least as many entries as a block.
 
     Let L = ln(1/delta) and l = -ln p, p = fl(k/m). pow is within an ulp of
     p**r, so pow(p, r) <= delta if r*l > L, and pow(p, r) > delta if
@@ -157,7 +195,7 @@ def budget_term_blocks(ms, delta: float | None, k, y, u):
     if delta is not None:
         log_inv_delta = -math.log(delta)
         s = math.log1p(max(2.0**-51, 2.0**-1073 / delta))
-    for pieces in packed_blocks(ms):
+    for pieces in blocks:
         y_, u_ = inverse_log_ratio_block(pieces, k, y), None
         if delta is not None:
             slack = 2.0**-40 + max(piece[1] for piece in pieces) * 2.0**-50
@@ -180,7 +218,8 @@ def step_budgets(m: int, delta: float) -> tuple[int, ...]:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     budgets, i = np.ones(m, dtype=np.int64), 1  # step 1 always turns up a new state
     size = min(BLOCK, m - 1)
-    for _, _, u in budget_term_blocks([m], delta, *(np.empty(size) for _ in range(3))):
+    for _, _, u in budget_term_blocks(packed_blocks([m]), delta,
+                                      *(np.empty(size) for _ in range(3))):
         budgets[i : i + len(u)] = u
         i += len(u)
     return tuple(budgets.tolist())

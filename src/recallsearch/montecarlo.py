@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -65,23 +65,26 @@ def run_trials(
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    outcomes = [
+    outcomes = (
         execute_trial(problem, sampler, strategy, rng)
         for rng in _trial_streams(master_seed, n_trials)
-    ]
+    )
     return _aggregate(problem, outcomes, master_seed)
 
 
 def _aggregate(
-    problem: ProblemInstance, outcomes: Sequence[TrialOutcome], master_seed: int
+    problem: ProblemInstance, outcomes: Iterable[TrialOutcome], master_seed: int
 ) -> TrialStats:
-    n = len(outcomes)
+    """Fold the outcomes, in order, into a TrialStats; each outcome is
+    dropped once counted, so memory does not grow with the trial count."""
     m = problem.n_marked
     fail_at = [0] * (m + 1)
+    n = 0
     runs_total = 0
     queries_total = 0
     successes = 0
     for o in outcomes:
+        n += 1
         runs_total += o.runs_used
         queries_total += o.queries_used
         if o.success:

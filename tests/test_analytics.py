@@ -1,5 +1,6 @@
 import math
 import random
+import threading
 import tracemalloc
 
 import numpy as np
@@ -235,10 +236,12 @@ def limb_sum(x):
     smallest value, rounded once (half to even, as fsum rounds)."""
     top = math.frexp(x.max())[1]  # every x < 2**top
     low = max(math.frexp(x.min())[1] - 53, -1074)
-    return _limb_sums(x, top, low, [0])[0] / analytics._UNITS_PER_ONE
+    limb, rest = np.empty(len(x)), np.empty(len(x))
+    return _limb_sums(x, top, low, [0], limb, rest)[0] / analytics._UNITS_PER_ONE
 
 
 LENGTHS = st.sampled_from([1, 2, BLOCK - 1, BLOCK])
+WIDTH = 53 - BLOCK.bit_length()  # bits a limb spans over BLOCK values
 
 
 class TestExactSum:
@@ -272,9 +275,10 @@ class TestExactSum:
         up = np.array([1.0, 2.0**-53, 2.0**-105])
         assert limb_sum(up) == math.fsum(up) == math.nextafter(1.0, 2.0)
 
-    # 4096..8193 sit around a smaller block size: sums that end mid-block
+    # 4096..16386 sit around smaller block sizes: sums that end mid-block
     @pytest.mark.parametrize(
-        "m", [2, 3, 4096, 4097, 4098, 8193, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1, 54_321]
+        "m", [2, 3, 4096, 4097, 4098, 8193, 16_384, 16_385, 16_386,
+              BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1, 54_321]
     )
     def test_k_sum_equals_fsum_of_the_terms(self, m):
         k = np.arange(1, m, dtype=np.float64)
@@ -295,32 +299,36 @@ class TestExactSum:
         assert limb_sum(np.full(BLOCK, 5e-324)) == BLOCK * 5e-324
 
     def test_values_halfway_between_grid_points(self):
-        # with top 1 and BLOCK values the first grid is 2**-37: every other
-        # value is an odd multiple of 2**-38, so each rounding is a tie
+        # with top 1 and BLOCK values the first grid is 2**(1 - WIDTH): every
+        # other value is an odd multiple of 2**-WIDTH, so each rounding is a tie
         rng = np.random.default_rng(9)
-        x = np.ldexp(2.0 * rng.integers(0, 2**37, size=BLOCK) + 1.0, -38)
+        x = np.ldexp(2.0 * rng.integers(0, 2 ** (WIDTH - 1), size=BLOCK) + 1.0, -WIDTH)
         x[0] = 1.75
         assert limb_sum(x) == math.fsum(x)
         assert limb_sum(np.array([1.5, 3 * 2.0**-51])) == math.fsum([1.5, 3 * 2.0**-51])
 
     def test_the_first_limb_at_its_bound(self):
-        # BLOCK - 1 values below 1 give width 39 and the grid 2**-39: the limb
-        # sums nearly 2**53 units of it, so one more bit of width would round
+        # BLOCK - 1 values below 1 give width w = 53 - (BLOCK - 1).bit_length()
+        # and the grid 2**-w: the limb sums nearly 2**53 units of it when
+        # BLOCK - 1 >= 2**(bit_length - 1), so one more bit of width would round
+        w = 53 - (BLOCK - 1).bit_length()
         for seed in range(4):
             j = np.random.default_rng(seed).integers(1, 2**12, size=BLOCK - 1)
-            x = 1.0 - np.ldexp(j.astype(np.float64), -40)
+            x = 1.0 - np.ldexp(j.astype(np.float64), -(w + 1))
             assert limb_sum(x) == math.fsum(x)
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_the_last_limb_at_its_bound(self, sign):
-        # grid 2**-13 from the top value 1.5 * 2**24; every other remainder is
-        # 2**-14 - 2**-52 (sign 1) or its negative, so the last limb sums
-        # BLOCK - 1 values of nearly 2**38 units of 2**-52: close to 2**52
-        x = np.full(BLOCK, 1.0 + 2.0**-14 - sign * 2.0**-52)
-        x[0] = 1.5 * 2.0**24
+        # grid 2**(WIDTH - 51) from the top value 1.5 * 2**(2 WIDTH - 52); every
+        # other remainder is 2**(WIDTH - 52) - 2**-52 (sign 1) or its negative,
+        # so the last limb sums BLOCK - 1 values of nearly 2**WIDTH units of
+        # 2**-52: close to 2**52
+        x = np.full(BLOCK, 1.0 + 2.0 ** (WIDTH - 52) - sign * 2.0**-52)
+        x[0] = 1.5 * 2.0 ** (2 * WIDTH - 52)
         assert limb_sum(x) == math.fsum(x)
 
-    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK])
+    # each pair straddles a step of the limb width, 53 - n.bit_length()
+    @pytest.mark.parametrize("n", [BLOCK // 2 - 1, BLOCK // 2, BLOCK - 1, BLOCK])
     def test_lengths_around_block(self, n):
         rng = np.random.default_rng(n)
         x = np.ldexp(1.0 + rng.random(n), rng.integers(-40, 41, size=n))
@@ -346,8 +354,9 @@ class TestExactSum:
             tracemalloc.stop()
         assert peak < BLOCK * 8 // 4
         assert {len(pieces) > 1 for pieces, _, _ in blocks} == {False, True}
-        assert all(np.shares_memory(y, analytics._TERMS) for _, y, _ in blocks)
-        assert all(np.shares_memory(u, analytics._LIMB) for _, _, u in blocks if u is not None)
+        _, terms, limb = analytics._BUFFERS[0]
+        assert all(np.shares_memory(y, terms) for _, y, _ in blocks)
+        assert all(np.shares_memory(u, limb) for _, _, u in blocks if u is not None)
 
     def test_fig1_curve_memory(self):
         tracemalloc.start()
@@ -469,3 +478,40 @@ class TestPriceRows:
     def test_curve_points_equal_one_row_totals(self):
         curve = f_of_m_curve(0.01, 1, 3 * BLOCK, 997)
         assert curve == [(m, total_runs_closed_form(m, 0.01)) for m, _ in curve]
+
+
+@st.composite
+def lane_rows(draw):
+    """Row lists of at least LANE_TERMS k-sum terms: a few rows, and one
+    more, placed anywhere, that makes up the rest."""
+    ms = draw(st.lists(st.integers(min_value=1, max_value=2**19), max_size=5))
+    short = analytics.LANE_TERMS - sum(m - 1 for m in ms)
+    if short > 0:
+        ms.insert(draw(st.integers(min_value=0, max_value=len(ms))), short + 1)
+    return ms
+
+
+class TestPricingLanes:
+    # 5e-324 sends nearly every step to the scalar step_budget, in both
+    # lanes: about 3 s a pricing, so it is one example, not a sampled value
+    @settings(max_examples=8, deadline=None)
+    @given(ms=lane_rows(), delta=st.sampled_from([None, 0.01, 1e-320, 1 - 2**-53]))
+    @example(ms=[2**21], delta=1e-320)
+    @example(ms=[analytics.LANE_TERMS + 1], delta=5e-324)
+    def test_two_lanes_equal_one(self, ms, delta):
+        threads, price_blocks = set(), analytics._price_blocks
+
+        def recording(*args):
+            threads.add(threading.current_thread() is threading.main_thread())
+            price_blocks(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analytics, "_price_blocks", recording)
+            patch.setattr(analytics, "_usable_cpus", lambda: 1)
+            one = _price_rows(ms, delta)
+            assert threads == {True}
+            patch.setattr(analytics, "_usable_cpus", lambda: 2)
+            two = _price_rows(ms, delta)
+            assert threads == {True, False}
+        assert [v.hex() for v in two[0]] == [v.hex() for v in one[0]]
+        assert two[1] == one[1]

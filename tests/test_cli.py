@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import recallsearch
-from recallsearch import cli
+from recallsearch import analytics, cli
 from recallsearch.cli import _OPTIONS, SIMULATE_MAX_M, parse_config, run_command
 from recallsearch.search import FULL_MAX_N
 
@@ -762,7 +762,7 @@ class TestQuantumCheckLanes:
             raise AssertionError("a thread was started with one usable CPU")
 
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(cli.threading, "Thread", refuse)
+        monkeypatch.setattr(threading, "Thread", refuse)
         assert run_cli(QC_ARGV) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == QC_DIGEST
 
@@ -795,6 +795,84 @@ class TestQuantumCheckLanes:
         assert captured.err == "error: worker lane failed\n"
         assert threading.active_count() == before
         assert unhandled == []
+
+
+FIG1_ARGV, FIG1_DIGEST = GOLDEN_AT_SCALE[0]
+
+
+def stdout_with_lanes(monkeypatch, capsys, argv, cpus):
+    monkeypatch.setattr(analytics, "_usable_cpus", lambda: cpus)
+    assert run_cli(argv) == 0
+    return capsys.readouterr().out
+
+
+class TestPricingLanes:
+    """A pricing call of LANE_TERMS k-sum terms or more runs in two lanes,
+    one on a thread."""
+
+    @pytest.mark.parametrize("argv", [
+        ["curves", "--preset", "fig1", "--stride", "37"],
+        ["analyze", "--n", str(2**40), "--m", "2097152", "--delta", "1e-320"],
+    ], ids=["fig1-stride-37", "analyze-2-pow-21-subnormal-delta"])
+    def test_two_lanes_print_the_bytes_of_one(self, argv, monkeypatch, capsys):
+        lanes, price_blocks = set(), analytics._price_blocks
+
+        def recording(*args):
+            lanes.add(threading.current_thread() is threading.main_thread())
+            price_blocks(*args)
+
+        monkeypatch.setattr(analytics, "_price_blocks", recording)
+        one = stdout_with_lanes(monkeypatch, capsys, argv, 1)
+        assert lanes == {True}
+        before = threading.active_count()
+        assert stdout_with_lanes(monkeypatch, capsys, argv, 2) == one
+        assert lanes == {True, False}
+        assert threading.active_count() == before
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread was started with one usable CPU")
+
+        monkeypatch.setattr(threading, "Thread", refuse)
+        out = stdout_with_lanes(monkeypatch, capsys, FIG1_ARGV, 1)
+        assert hashlib.sha256(out.encode()).hexdigest() == FIG1_DIGEST
+
+    @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_worker_lane_error_surfaces_after_join(self, monkeypatch, capsys):
+        error = ValueError("worker lane failed")
+        unhandled, price_blocks = [], analytics._price_blocks
+
+        def failing_off_main(*args):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.3)  # still running when the main lane is done
+                raise error
+            price_blocks(*args)
+
+        monkeypatch.setattr(analytics, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(analytics, "_price_blocks", failing_off_main)
+        monkeypatch.setattr(threading, "excepthook", unhandled.append)
+        before = threading.active_count()
+        with pytest.raises(ValueError) as exc:
+            run_cli(FIG1_ARGV)
+        assert exc.value is error
+        assert threading.active_count() == before
+        with pytest.raises(SystemExit) as exc:
+            cli.main(FIG1_ARGV)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: worker lane failed\n"
+        assert threading.active_count() == before
+        assert unhandled == []
+
+    def test_fig1_under_warnings_as_errors(self):
+        # a fresh interpreter with the host's own CPUs: nothing is printed
+        # after the command returns, and no warning is raised anywhere
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run([sys.executable, "-W", "error", "-m", "recallsearch", *FIG1_ARGV],
+                              env=env, capture_output=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert hashlib.sha256(done.stdout).hexdigest() == FIG1_DIGEST
 
 
 @pytest.mark.parametrize("module", ["recallsearch", "recallsearch.cli"])

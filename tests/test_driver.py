@@ -142,7 +142,7 @@ class TestStepBudgets:
                 if 0.0 < delta < 1.0:
                     assert step_budgets(m, delta)[i - 1] == step_budget(m, i, delta)
 
-    @pytest.mark.parametrize("m", [21_994, 3 * BLOCK + 1])
+    @pytest.mark.parametrize("m", [21_994, 49_153, 3 * BLOCK + 1])
     def test_equal_scalar_budget_where_delta_is_a_power_near_k_equal_m(self, m):
         # p = fl(k/m) rounds by up to 2**-54 near k = m, which moves ln(1/p)
         # by up to m * 2**-54 relative to ln(m/k): a band of 2**-40 relative

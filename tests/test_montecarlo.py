@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,6 +139,23 @@ class TestRunTrials:
         # Var of the collector count, for a 4-sigma band on the mean
         var = sum((1 - p) / p**2 for p in (5 / 5, 4 / 5, 3 / 5, 2 / 5, 1 / 5))
         assert abs(stats.mean_runs - expected) <= 4 * math.sqrt(var / 10000)
+
+    def test_memory_does_not_grow_with_trials(self):
+        # outcomes are folded as they come: 4000 trials peak within a few KiB
+        # of 200 (kept, each outcome would add a few hundred bytes)
+        prob = problem(1024, 50, delta=0.5)
+        params = derive_search_params(prob)
+        sampler, strategy = IdealSampler(prob, params), Budgeted(build_plan(prob, params))
+        run_trials(prob, strategy, sampler, 50, 1)  # first-call allocations
+        peaks = []
+        for n_trials in (200, 4000):
+            tracemalloc.start()
+            try:
+                run_trials(prob, strategy, sampler, n_trials, 5)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 8 * 2**10
 
     def test_rejects_empty_batch(self):
         prob = problem(16, 1)
