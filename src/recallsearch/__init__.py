@@ -14,6 +14,8 @@ from .analytics import (
     duality_queries,
     f_of_delta_curve,
     f_of_m_curve,
+    step_budget,
+    step_budgets,
     total_runs_closed_form,
 )
 from .driver import (
@@ -28,8 +30,6 @@ from .driver import (
     build_plan,
     execute_trial,
     resolve_step_delta,
-    step_budget,
-    step_budgets,
 )
 from .montecarlo import (
     TrialStats,
@@ -49,7 +49,6 @@ from .search import (
     final_state,
     marked_mass,
     measure,
-    prepare_uniform,
     run_search_once,
     success_probability,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "final_state",
     "marked_mass",
     "measure",
-    "prepare_uniform",
     "resolve_step_delta",
     "run_search_once",
     "run_trials",

@@ -1,34 +1,48 @@
-"""Closed-form run and query totals, figure tables, and the deletion-model
-query count.
+"""Closed forms: per-step retry budgets, run and query totals, figure tables,
+and the deletion-model query count.
 
-The run total for finding all m states with per-step tolerance delta is
+Step i's budget is r_i = min{r : ((i-1)/m)^r <= delta}, and the run total for
+finding all m states with per-step tolerance delta is
 
     1 + sum_{k=1}^{m-1} ln(1/delta) / ln(m/k)
 
 which is affine in ln(1/delta): the k-sum is computed once per m and the
-ln(1/delta) factor applied after. One kernel (_price_rows) prices any list of
-m for curves, compare tables and one-row reports alike: it packs the rows'
-terms into shared numpy blocks in buffers made once per process, reads the
-step budgets off the terms, and sums each row's terms, all under m, exactly in
-float limbs (_limb_sums), equal bit for bit to math.fsum. From LANE_TERMS
-terms on, and with two usable CPUs, the blocks alternate between two lanes,
-one on a thread, each with its own buffers and integer per-row totals; the
-totals are added after the join, so the result does not depend on the lanes.
-Query totals price each run at the exact per-run iteration count, giving the
+ln(1/delta) factor applied after. One kernel (budget_term_blocks) makes the
+terms 1/ln(m/k) in numpy blocks and reads r_{k+1} off each. step_budgets runs
+it for one m, _price_rows for any list of m (curves, compare tables and one-row
+reports): the rows share blocks, in buffers made once per process, and each
+row's budgets and terms, all under m, are summed exactly in float limbs
+(_limb_sums), equal bit for bit to math.fsum. From LANE_TERMS terms on, with
+two usable CPUs, the blocks alternate between two lanes (_run_lanes) whose
+integer totals are added after the join, so the lanes change no bit. Query
+totals price each run at the exact per-run iteration count, giving the
 asymptotic sqrt(N/m) factor a concrete constant.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import os
+import threading
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import BLOCK, _run_lanes, _usable_cpus, budget_term_blocks, packed_blocks
 from .search import SearchParams
 
+# Entries per vectorized block: the kernels work in buffers of at most this
+# many float64s, reused from block to block, so their memory does not grow
+# with m. 32768 (256 KiB a buffer) suits two pricing lanes: a ufunc call over
+# 16384 terms takes 5-27 us, about what a hand-off of the GIL between the lanes
+# costs, and there fig1 priced slower in two lanes than in one (medians 0.48 s
+# against 0.39 s); at 32768, 0.31 s against 0.35 s. Larger blocks made one
+# lane slower (0.42 s at 49152, 0.50 s at 65536) and hold more memory. RAMP,
+# 1..BLOCK, is made once per process; the kernel offsets it.
+BLOCK = 32768
+RAMP = np.arange(1.0, BLOCK + 1)
 # The k-sum's work buffers, one set per pricing lane: (rest, terms, limb). The
 # limb loop's remainder and limb hold a block's k and budgets while it is
 # made. Both sets are made here, once per process and on the importing thread,
@@ -62,6 +76,148 @@ class ComplexityReport:
     q_duality: float
     quantum_to_duality_ratio: float | None
     duality_log_base: int = 2
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_lanes(lanes: Sequence, run: Callable) -> None:
+    """run(lane) for every lane: the first here, each other on its own thread.
+    Every thread is joined before this returns or raises; a lane's error is
+    raised here, after the joins."""
+    errors = []
+
+    def guarded(lane):
+        try:
+            run(lane)
+        except BaseException as exc:  # re-raised by the caller's thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(lane,)) for lane in lanes[1:]]
+    for thread in threads:
+        thread.start()
+    try:
+        run(lanes[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
+def step_budget(m: int, i: int, delta: float) -> int:
+    """Smallest number of runs r with ((i-1)/m)^r <= delta.
+
+    Step 1 always turns up a new state, so its budget is a single run. The
+    closed-form ceil(ln(1/delta) / ln(m/(i-1))) seeds the answer and the
+    result is nudged so it exactly matches the minimal-r definition under
+    float pow semantics.
+    """
+    if not 1 <= i <= m:
+        raise ValueError(f"step index must satisfy 1 <= i <= m, got i={i}, m={m}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    if i == 1:
+        return 1
+    p = (i - 1) / m
+    r = math.ceil(-math.log(delta) / (math.log(m) - math.log(i - 1)))
+    r = max(r, 1)
+    while p**r > delta:
+        r += 1
+    while r > 1 and p ** (r - 1) <= delta:
+        r -= 1
+    return r
+
+
+def packed_blocks(ms):
+    """Cut the k-ranges 1..m-1 of the rows m in ms, in order, into blocks of at
+    most BLOCK terms, every block but the last full. A block is a list of
+    pieces (row, m, start, at, count): the row's terms k = start+1..start+count,
+    at offset `at` of the block."""
+    block, at = [], 0
+    for row, m in enumerate(ms):
+        start = 0
+        while start < m - 1:
+            count = min(BLOCK - at, m - 1 - start)
+            block.append((row, m, start, at, count))
+            start, at = start + count, at + count
+            if at == BLOCK:
+                yield block
+                block, at = [], 0
+    if block:
+        yield block
+
+
+def budget_term_blocks(blocks, delta: float | None, k, y, u):
+    """Yield (pieces, terms, budgets) for each block of blocks (packed_blocks),
+    as views of the float64 buffers y and u that the next block overwrites: the
+    terms y = 1/ln(m/k), as 1/log1p((m-k)/k), and, unless delta is None,
+    r_i = step_budget(m, i, delta), i = k + 1, as floats, read off y. log1p
+    keeps the k ~ m terms accurate, where ln(m/k) is tiny and the terms are
+    largest. k is a work buffer; each buffer holds at least as many entries as
+    a block.
+
+    Let L = ln(1/delta) and l = -ln p, p = fl(k/m). pow is within an ulp of
+    p**r, so pow(p, r) <= delta if r*l > L, and pow(p, r) > delta if
+    r*l < L - s, s = ln(1 + max(2**-51, 2**-1073 / delta)): twice the ulp at
+    delta, 2**-52 * delta, or 2**-1074 where delta is subnormal. y is 1/l to
+    a few 2**-53 relative (rounding of (m-k)/k, log1p and the division) plus
+    m * 2**-53, because rounding p moves l by up to 2**-53 and l > 1/m.
+    slack = 2**-40 + m * 2**-50 covers these and the products' rounding, so
+    every r >= hi*y passes, hi = L * (1 + slack), and every r <= lo*y fails,
+    lo = L * (1 - slack) - s. Where ceil(hi*y) == ceil(lo*y) that is r_i;
+    elsewhere the scalar step_budget decides. A block takes the slack of its
+    largest m: a wider band sends more steps to the scalar and changes no
+    budget. lo is floored at 2**-1000, as r = 0 is never a candidate: at
+    delta = 1 - 2**-53, L < s would send every step to the scalar. The
+    scalar takes about s * sum(y) steps: a handful for normal delta, hundreds
+    at delta = 1e-320 and m = 1e5, and nearly all at delta = 5e-324, where
+    pow returns delta for every p**r below 1.5 * 2**-1074, so s = ln 3 and
+    the float terms cannot tell r apart.
+    """
+    if delta is not None:
+        log_inv_delta = -math.log(delta)
+        s = math.log1p(max(2.0**-51, 2.0**-1073 / delta))
+    for pieces in blocks:
+        n = pieces[-1][3] + pieces[-1][4]
+        k_, y_, u_ = k[:n], y[:n], None
+        for _, m, start, at, count in pieces:
+            np.add(RAMP[:count], start, out=k_[at : at + count])
+            np.subtract(m, k_[at : at + count], out=y_[at : at + count])
+        np.divide(y_, k_, out=y_)
+        np.log1p(y_, out=y_)
+        np.divide(1.0, y_, out=y_)
+        if delta is not None:
+            slack = 2.0**-40 + max(piece[1] for piece in pieces) * 2.0**-50
+            hi, lo = log_inv_delta * (1 + slack), max(log_inv_delta * (1 - slack) - s, 2.0**-1000)
+            u_ = u[:n]
+            np.ceil(np.multiply(y_, hi, out=u_), out=u_)
+            np.ceil(np.multiply(y_, lo, out=k_), out=k_)
+            for j in np.subtract(u_, k_, out=k_).nonzero()[0].tolist():
+                _, m, start, at, _ = pieces[bisect.bisect(pieces, j, key=lambda p: p[3]) - 1]
+                u_[j] = step_budget(m, start + j - at + 2, delta)
+        yield pieces, y_, u_
+
+
+def step_budgets(m: int, delta: float) -> tuple[int, ...]:
+    """r_1..r_m, equal to [step_budget(m, i, delta) for i in 1..m], read off
+    the k-sum's terms block by block; see budget_term_blocks. Its buffers are
+    its own, so any thread may call it."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    budgets, i = np.ones(m, dtype=np.int64), 1  # step 1 always turns up a new state
+    size = min(BLOCK, m - 1)
+    for _, _, u in budget_term_blocks(packed_blocks([m]), delta,
+                                      *(np.empty(size) for _ in range(3))):
+        budgets[i : i + len(u)] = u
+        i += len(u)
+    return tuple(budgets.tolist())
 
 
 def _units(v: float) -> int:
@@ -134,26 +290,23 @@ def _price_rows(ms, delta: float | None = None):
     (equal to math.fsum of its float terms), and, unless delta is None, each
     row's budget total r_1 + ... + r_m.
 
-    The rows' terms share blocks (driver.packed_blocks). With LANE_TERMS
-    terms or more and two usable CPUs, the blocks alternate between two lanes
-    (driver._run_lanes), each adding to its own integer totals; integer sums
+    The rows' terms share blocks (packed_blocks). With LANE_TERMS terms or
+    more and two usable CPUs, the blocks alternate between two lanes, else
+    all go to one, which runs here with no thread (_run_lanes). Each lane adds
+    to its own integer totals, summed row by row after the join; integer sums
     do not depend on order, so the lanes change no bit of the result. Each
-    lane walks the blocks and skips the other's, which costs about 1 ms for
+    lane walks the blocks and skips the others', which costs about 1 ms for
     fig1; a list of the blocks would hold every piece at once.
     """
-    units = [0] * len(ms)
-    runs = None if delta is None else [1] * len(ms)  # step 1 is one run
-    if sum(ms) - len(ms) < LANE_TERMS or _usable_cpus() < 2:
-        _price_blocks(packed_blocks(ms), delta, _BUFFERS[0], units, runs)
-    else:
-        more_units, more_runs = [0] * len(ms), None if runs is None else [0] * len(ms)
-        totals = [(units, runs), (more_units, more_runs)]
-        _run_lanes(range(2), lambda lane: _price_blocks(
-            itertools.islice(packed_blocks(ms), lane, None, 2), delta, _BUFFERS[lane],
-            *totals[lane]))
-        units = [a + b for a, b in zip(units, more_units)]
-        if runs is not None:
-            runs = [a + b for a, b in zip(runs, more_runs)]
+    lanes = 2 if sum(ms) - len(ms) >= LANE_TERMS and _usable_cpus() >= 2 else 1
+    totals = [([0] * len(ms), None if delta is None else [0] * len(ms)) for _ in range(lanes)]
+    _run_lanes(range(lanes), lambda lane: _price_blocks(
+        itertools.islice(packed_blocks(ms), lane, None, lanes), delta, _BUFFERS[lane],
+        *totals[lane]))
+    units = [sum(row) for row in zip(*(u for u, _ in totals))]
+    runs = None
+    if delta is not None:  # step 1 is one run
+        runs = [1 + sum(row) for row in zip(*(r for _, r in totals))]
     return [v / _UNITS_PER_ONE for v in units], runs
 
 

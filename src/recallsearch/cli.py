@@ -30,7 +30,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .analytics import compare_models, compare_table, f_of_delta_curve, f_of_m_curve
+from .analytics import (
+    _run_lanes,
+    _usable_cpus,
+    compare_models,
+    compare_table,
+    f_of_delta_curve,
+    f_of_m_curve,
+)
 from .driver import (
     OVERALL,
     PER_STEP,
@@ -38,8 +45,6 @@ from .driver import (
     IdealSampler,
     QuantumSampler,
     Unbounded,
-    _run_lanes,
-    _usable_cpus,
     build_plan,
     resolve_step_delta,
 )
@@ -234,7 +239,7 @@ def _cmd_quantum_check(config: RunConfig) -> tuple[str, int]:
     The FULL evolutions of O(sqrt N) rounds (m <= 3 at N >= 2**15) spend
     their time in numpy calls that release the GIL, so they run first in two
     lanes, balanced by N * iterations: one here, one on a thread, through
-    driver._run_lanes, the helper k-sum pricing also uses. Everything
+    analytics._run_lanes, the helper k-sum pricing also uses. Everything
     else runs after the join, here and in grid order; below 2**15 the
     per-round Python work would contend for the GIL, and the m ~ N jobs hold
     m-element temporaries. With one usable CPU there is one lane and no

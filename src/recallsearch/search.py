@@ -156,12 +156,8 @@ def derive_search_params(problem: ProblemInstance) -> SearchParams:
     return SearchParams(problem.n_states, problem.n_marked)
 
 
-def prepare_uniform(problem: ProblemInstance, representation: str = FULL) -> QuantumState:
-    """Uniform superposition over all N basis states."""
-    return QuantumState(representation, _uniform_amplitudes(problem, representation), _owned=True)
-
-
 def _uniform_amplitudes(problem: ProblemInstance, representation: str) -> np.ndarray:
+    """The uniform superposition over all N basis states, where a run starts."""
     n, m = problem.n_states, problem.n_marked
     if representation == FULL:
         if n > FULL_MAX_N:
@@ -175,9 +171,9 @@ def _uniform_amplitudes(problem: ProblemInstance, representation: str) -> np.nda
 def apply_oracle_phase(state: QuantumState, problem: ProblemInstance, phi: float) -> QuantumState:
     """One oracle query: rotate every marked amplitude by e^{i phi}."""
     _check_shape(state, problem)
-    marked = _marked_selector(problem) if state.representation == FULL else 0
+    marked = _marked_selector(problem) if state.representation == FULL else 0  # SUBSPACE: a_0
     amps = np.array(state.amplitudes)
-    _full_round(amps, marked, complex(math.cos(phi), math.sin(phi)), None)
+    amps[marked] *= complex(math.cos(phi), math.sin(phi))
     return QuantumState(state.representation, amps, _owned=True)
 
 
@@ -193,7 +189,7 @@ def apply_diffusion_phase(state: QuantumState, problem: ProblemInstance,
     c = 1.0 - complex(math.cos(phi), math.sin(phi))
     amps = np.array(state.amplitudes)
     if state.representation == FULL:
-        _full_round(amps, None, None, c)
+        amps -= c * (np.add.reduce(amps) / len(amps))
     else:
         n, m = problem.n_states, problem.n_marked
         ua, ub = math.sqrt(m / n), math.sqrt((n - m) / n)
@@ -201,14 +197,6 @@ def apply_diffusion_phase(state: QuantumState, problem: ProblemInstance,
         amps[0] -= c * overlap * ua
         amps[1] -= c * overlap * ub
     return QuantumState(state.representation, amps, _owned=True)
-
-
-def _full_round(amps: np.ndarray, marked, oracle: complex | None, diffusion: complex | None):
-    """One FULL round in place; a None factor skips its half. marked=0: the SUBSPACE oracle."""
-    if oracle is not None:
-        amps[marked] *= oracle
-    if diffusion is not None:
-        amps -= diffusion * (np.add.reduce(amps) / len(amps))
 
 
 def _marked_selector(problem: ProblemInstance) -> slice | np.ndarray:
@@ -228,8 +216,10 @@ def final_state(problem: ProblemInstance, params: SearchParams,
         return QuantumState(SUBSPACE, _subspace_power(problem, phi, k), _owned=True)
     amps = _uniform_amplitudes(problem, representation)
     marked, phase = _marked_selector(problem), complex(math.cos(phi), math.sin(phi))
-    for _ in range(k):
-        _full_round(amps, marked, phase, 1.0 - phase)
+    c = 1.0 - phase
+    for _ in range(k):  # in place, as apply_oracle_phase then apply_diffusion_phase
+        amps[marked] *= phase
+        amps -= c * (np.add.reduce(amps) / len(amps))
     return QuantumState(representation, amps, _owned=True)
 
 

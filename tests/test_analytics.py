@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from recallsearch import analytics
 from recallsearch.analytics import (
+    BLOCK,
     _budget_totals,
     _limb_sums,
     _price_rows,
@@ -18,9 +19,9 @@ from recallsearch.analytics import (
     duality_queries,
     f_of_delta_curve,
     f_of_m_curve,
+    step_budget,
     total_runs_closed_form,
 )
-from recallsearch.driver import BLOCK, step_budget
 from test_driver import DELTAS
 
 

@@ -1,5 +1,7 @@
 import argparse
 import hashlib
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import recallsearch
-from recallsearch import analytics, cli
+from recallsearch import analytics, cli, driver
 from recallsearch.cli import _OPTIONS, SIMULATE_MAX_M, parse_config, run_command
 from recallsearch.search import FULL_MAX_N
 
@@ -34,15 +36,35 @@ PUBLIC_NAMES = [
     "StepPlan", "TrialOutcome", "TrialStats", "Unbounded", "apply_diffusion_phase",
     "apply_oracle_phase", "build_plan", "chi_square_uniformity", "compare_models",
     "derive_search_params", "duality_queries", "execute_trial", "f_of_delta_curve",
-    "f_of_m_curve", "final_state", "marked_mass", "measure", "prepare_uniform",
-    "resolve_step_delta", "run_search_once", "run_trials", "step_budget", "step_budgets",
-    "success_probability", "total_runs_closed_form", "trial_stream",
+    "f_of_m_curve", "final_state", "marked_mass", "measure", "resolve_step_delta",
+    "run_search_once", "run_trials", "step_budget", "step_budgets", "success_probability",
+    "total_runs_closed_form", "trial_stream",
 ]
 
 
 def test_public_names_are_pinned():
     assert sorted(recallsearch.__all__) == PUBLIC_NAMES
     assert all(hasattr(recallsearch, name) for name in PUBLIC_NAMES)
+
+
+def test_traced_names_resolve():
+    # The benchmark's tracer wraps these names; one that no longer resolves
+    # drops its per-layer metrics from a traced run. It is read, not changed.
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("recallsearch_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    unresolved = []
+    for module_name, qualname, _ in tracer.TARGETS:
+        owner = importlib.import_module(f"{tracer.PACKAGE}.{module_name}")
+        for part in qualname.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            unresolved.append(f"{module_name}.{qualname}")
+    assert unresolved == []
+    # the tracer wraps driver.step_budget wherever a module holds that same
+    # function, so the kernel's scalar fallbacks in analytics are counted
+    assert driver.step_budget is analytics.step_budget
 
 
 class TestParseConfig:

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from recallsearch import driver
+from recallsearch import analytics
+from recallsearch.analytics import BLOCK, step_budget, step_budgets
 from recallsearch.driver import (
-    BLOCK,
     OVERALL,
     PER_STEP,
     Budgeted,
@@ -18,8 +18,6 @@ from recallsearch.driver import (
     build_plan,
     execute_trial,
     resolve_step_delta,
-    step_budget,
-    step_budgets,
 )
 from recallsearch.montecarlo import trial_stream
 from recallsearch.search import (
@@ -28,8 +26,8 @@ from recallsearch.search import (
     derive_search_params,
     final_state,
     measure,
-    prepare_uniform,
 )
+from test_search import uniform_state
 
 
 def brute_force_budget(m, i, delta):
@@ -166,7 +164,7 @@ class TestStepBudgets:
             calls.append(i)
             return step_budget(m, i, delta)
 
-        monkeypatch.setattr(driver, "step_budget", counted)
+        monkeypatch.setattr(analytics, "step_budget", counted)
         budgets = step_budgets(100_000, delta)
         assert len(calls) < most
         monkeypatch.undo()
@@ -205,10 +203,12 @@ class TestStepBudgets:
             calls.append(i)
             return step_budget(m, i, delta)
 
-        monkeypatch.setattr(driver, "step_budget", counted)
+        monkeypatch.setattr(analytics, "step_budget", counted)
         budgets = step_budgets(100_000, 0.01)
         assert len(budgets) == 100_000 and budgets[-1] == 460_515
-        assert len(calls) < 100
+        # a few steps do reach the scalar: a counter that sees none is
+        # patched where the kernel does not look
+        assert 0 < len(calls) < 100
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="m must be"):
@@ -411,10 +411,10 @@ class TestSamplers:
                          for _ in range(500)]
         assert set(draws) <= set(prob.marked)
         # a spread-out state, where a wrong CDF index would show
-        uniform = prepare_uniform(prob, FULL)
+        uniform = uniform_state(prob, FULL)
         rng_a, rng_b = trial_stream(6, 2), trial_stream(6, 2)
         cached = [measure(uniform, prob, rng_a) for _ in range(500)]
-        assert cached == [measure(prepare_uniform(prob, FULL), prob, rng_b)
+        assert cached == [measure(uniform_state(prob, FULL), prob, rng_b)
                           for _ in range(500)]
         assert len(set(cached)) > 300
 
@@ -428,7 +428,7 @@ class TestSamplers:
         for _ in range(200):
             sampler.draw(rng)
         assert len(calls) == 1
-        uniform = prepare_uniform(prob, FULL)
+        uniform = uniform_state(prob, FULL)
         for _ in range(50):
             measure(uniform, prob, rng)
         assert len(calls) == 2

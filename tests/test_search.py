@@ -20,9 +20,9 @@ from recallsearch.search import (
     marked_mass,
     measure,
     measure_at,
-    prepare_uniform,
     require_matching_params,
     run_search_once,
+    _uniform_amplitudes,
     _unmarked_at,
     success_probability,
 )
@@ -37,6 +37,16 @@ def problem(n, m_or_marked, delta=0.01):
         else tuple(range(m_or_marked))
     )
     return ProblemInstance(n_states=n, marked=marked, delta=delta)
+
+
+def uniform_state(prob, rep):
+    """The uniform superposition by its plain formula, built apart from the
+    library's evolution: 1/sqrt(N) on every state (FULL), or sqrt(m/N) and
+    sqrt((N-m)/N) on the marked and unmarked directions (SUBSPACE)."""
+    n, m = prob.n_states, prob.n_marked
+    if rep == FULL:
+        return QuantumState(FULL, np.full(n, 1.0 / math.sqrt(n)))
+    return QuantumState(SUBSPACE, np.array([math.sqrt(m / n), math.sqrt((n - m) / n)]))
 
 
 def project_to_subspace(state, prob):
@@ -151,33 +161,32 @@ class TestParamsProvenance:
 
 class TestPrepareUniform:
     def test_full_n4(self):
-        state = prepare_uniform(problem(4, 1), FULL)
-        assert np.allclose(state.amplitudes, 0.5)
+        assert np.allclose(_uniform_amplitudes(problem(4, 1), FULL), 0.5)
 
     def test_subspace_n4_m1(self):
-        state = prepare_uniform(problem(4, 1), SUBSPACE)
-        assert state.amplitudes[0] == pytest.approx(0.5, abs=1e-15)
-        assert state.amplitudes[1] == pytest.approx(math.sqrt(3) / 2, abs=1e-15)
+        amps = _uniform_amplitudes(problem(4, 1), SUBSPACE)
+        assert amps[0] == pytest.approx(0.5, abs=1e-15)
+        assert amps[1] == pytest.approx(math.sqrt(3) / 2, abs=1e-15)
 
     def test_subspace_n1024_m4(self):
-        state = prepare_uniform(problem(1024, 4), SUBSPACE)
-        assert state.amplitudes[0] == pytest.approx(1 / 16, abs=1e-15)
+        amps = _uniform_amplitudes(problem(1024, 4), SUBSPACE)
+        assert amps[0] == pytest.approx(1 / 16, abs=1e-15)
 
     def test_rejects_unknown_representation(self):
         with pytest.raises(ValueError, match="representation"):
-            prepare_uniform(problem(4, 1), "dense")
+            _uniform_amplitudes(problem(4, 1), "dense")
 
 
 class TestOperators:
     def test_oracle_phi_zero_is_identity(self):
         prob = problem(8, 3)
-        state = prepare_uniform(prob, FULL)
+        state = uniform_state(prob, FULL)
         after = apply_oracle_phase(state, prob, 0.0)
         assert np.allclose(after.amplitudes, state.amplitudes, atol=1e-15)
 
     def test_oracle_phi_pi_negates_marked(self):
         prob = problem(8, (2, 5))
-        state = prepare_uniform(prob, FULL)
+        state = uniform_state(prob, FULL)
         after = apply_oracle_phase(state, prob, math.pi)
         expected = np.array(state.amplitudes)
         expected[[2, 5]] *= -1
@@ -185,7 +194,7 @@ class TestOperators:
 
     def test_diffusion_phi_pi_is_inversion_about_mean(self):
         prob = problem(8, 2)
-        state = prepare_uniform(prob, FULL)
+        state = uniform_state(prob, FULL)
         state = apply_oracle_phase(state, prob, math.pi)
         after = apply_diffusion_phase(state, prob, math.pi)
         # dropped global phase: result is -(2*mean - s) = s - 2*mean
@@ -194,7 +203,7 @@ class TestOperators:
 
     def test_diffusion_phi_zero_keeps_distribution(self):
         prob = problem(8, 2)
-        state = prepare_uniform(prob, FULL)
+        state = uniform_state(prob, FULL)
         after = apply_diffusion_phase(state, prob, 0.0)
         assert np.allclose(
             np.abs(after.amplitudes) ** 2, np.abs(state.amplitudes) ** 2, atol=1e-12
@@ -203,8 +212,8 @@ class TestOperators:
     @pytest.mark.parametrize("op", ["oracle", "diffusion"])
     def test_full_and_subspace_agree(self, op):
         prob = problem(16, 2)
-        full = prepare_uniform(prob, FULL)
-        sub = prepare_uniform(prob, SUBSPACE)
+        full = uniform_state(prob, FULL)
+        sub = uniform_state(prob, SUBSPACE)
         if op == "oracle":
             full = apply_oracle_phase(full, prob, 1.0)
             sub = apply_oracle_phase(sub, prob, 1.0)
@@ -321,24 +330,37 @@ class TestSuccessProbability:
         for n, m in [(4, 1), (64, 3), (1000, 7), (2**14, 8), (2**20, 1)]:
             prob = problem(n, m)
             params = derive_search_params(prob)
-            state = prepare_uniform(prob, SUBSPACE)
+            state = uniform_state(prob, SUBSPACE)
             for _ in range(params.iterations):
                 state = apply_oracle_phase(state, prob, params.phi)
                 state = apply_diffusion_phase(state, prob, params.phi)
             closed = final_state(prob, params, SUBSPACE).amplitudes
             assert np.abs(closed - state.amplitudes).max() <= 1e-12
 
+    @pytest.mark.parametrize("n,marked", [(4, (2,)), (64, 3), (1000, (7, 500, 999)), (2**12, 1)])
+    def test_full_final_state_equals_per_round_operators(self, n, marked):
+        # final_state's FULL loop shares no code with the operators: the same
+        # ufuncs in the same order give the same bits
+        prob = problem(n, marked)
+        params = derive_search_params(prob)
+        state = uniform_state(prob, FULL)
+        for _ in range(params.iterations):
+            state = apply_oracle_phase(state, prob, params.phi)
+            state = apply_diffusion_phase(state, prob, params.phi)
+        assert np.array_equal(final_state(prob, params, FULL).amplitudes, state.amplitudes)
+
     def test_full_is_capped(self):
         prob = ProblemInstance(n_states=FULL_MAX_N + 1, marked=(0,), delta=0.1)
+        params = derive_search_params(prob)
         with pytest.raises(ValueError, match="capped"):
-            prepare_uniform(prob, FULL)
+            final_state(prob, params, FULL)
         # the cap guards FULL only: the subspace form has no N limit
-        assert prepare_uniform(prob, SUBSPACE).amplitudes.shape == (2,)
+        assert final_state(prob, params, SUBSPACE).amplitudes.shape == (2,)
 
     def test_standard_grover_anchor(self):
         # phi = pi, N = 4, m = 1: one plain Grover iteration is already exact
         prob = problem(4, (2,))
-        state = prepare_uniform(prob, FULL)
+        state = uniform_state(prob, FULL)
         state = apply_oracle_phase(state, prob, math.pi)
         state = apply_diffusion_phase(state, prob, math.pi)
         assert marked_mass(state, prob) == pytest.approx(1.0, abs=1e-12)
@@ -348,7 +370,7 @@ class TestInvariants:
     def test_marked_symmetry_through_iterations(self):
         prob = problem(64, (5, 17, 40, 63))
         params = derive_search_params(prob)
-        state = prepare_uniform(prob, FULL)
+        state = uniform_state(prob, FULL)
         idx = np.fromiter(prob.marked, dtype=np.intp)
         for _ in range(params.iterations):
             state = apply_oracle_phase(state, prob, params.phi)
@@ -373,7 +395,7 @@ class TestInvariants:
         )
         prob = problem(n, m)
         for rep in (FULL, SUBSPACE):
-            state = prepare_uniform(prob, rep)
+            state = uniform_state(prob, rep)
             for phi in phis:
                 # construction re-validates the unit norm at 1e-12
                 state = apply_oracle_phase(state, prob, phi)
@@ -409,14 +431,14 @@ class TestStateAndMeasure:
             QuantumState("sparse", np.array([1.0], dtype=complex))
 
     def test_state_is_frozen(self):
-        state = prepare_uniform(problem(4, 1), FULL)
+        state = uniform_state(problem(4, 1), FULL)
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.0
 
     def test_measure_uniform_covers_both_classes(self):
         prob = problem(8, (1, 6))
         rng = trial_stream(99, 0)
-        state = prepare_uniform(prob, SUBSPACE)
+        state = uniform_state(prob, SUBSPACE)
         seen_marked, seen_unmarked = 0, 0
         for _ in range(400):
             idx = measure(state, prob, rng)
@@ -437,7 +459,7 @@ class TestStateAndMeasure:
 
     def test_measure_full_matches_subspace_classes(self):
         prob = problem(16, 4)
-        state = prepare_uniform(prob, FULL)
+        state = uniform_state(prob, FULL)
         rng = trial_stream(11, 0)
         hits = sum(measure(state, prob, rng) in prob.marked for _ in range(2000))
         # uniform state: marked probability 1/4; 3-sigma band
@@ -483,7 +505,7 @@ class TestDrawLookup:
         prob = problem(n, marked)
         params = derive_search_params(prob)
         sampler, final = QuantumSampler(prob, params, rep), final_state(prob, params, rep)
-        for state in (prepare_uniform(prob, rep), final):
+        for state in (uniform_state(prob, rep), final):
             for u in U_EDGES:
                 expected = formula_index(state, prob, u)
                 assert measure_at(state, prob, u) == expected
@@ -509,7 +531,7 @@ class TestDrawLookup:
         for rep in (FULL, SUBSPACE):
             sampler = QuantumSampler(prob, params, rep)
             final = final_state(prob, params, rep)
-            uniform = prepare_uniform(prob, rep)
+            uniform = uniform_state(prob, rep)
             rng_a, rng_b, rng_c = (trial_stream(n, len(marked)) for _ in range(3))
             for _ in range(30):
                 u = rng_c.random()
@@ -586,7 +608,7 @@ class TestRangeMarked:
             amps[idx] *= phase
             amps -= (1.0 - phase) * amps.mean()
         assert np.array_equal(final_state(prob, params, FULL).amplitudes, amps)
-        state = prepare_uniform(prob, FULL)
+        state = uniform_state(prob, FULL)
         amps = np.array(state.amplitudes)
         for _ in range(min(params.iterations, 3)):
             state = apply_diffusion_phase(apply_oracle_phase(state, prob, params.phi),
