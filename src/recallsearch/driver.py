@@ -12,6 +12,10 @@ Draws come from a sampler: the quantum simulator, whose final state is built
 once and measured per draw, or an idealized uniform draw over the marked set at
 the same query price. The two are statistically interchangeable because one
 exact run measures a marked state with certainty, uniformly across the marked set.
+A sampler draws one at a time from a numpy Generator (draw, which execute_trial
+uses: the scalar reference) or a block at a time from raw stream words
+(draw_block, which montecarlo.run_trials uses), with the same draws in the same
+order.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .search import (
     ProblemInstance,
     SearchParams,
     final_state,
+    marked_positions,
     measure_at,
     require_matching_params,
 )
@@ -114,6 +119,27 @@ class IdealSampler:
     def draw(self, rng: np.random.Generator) -> int:
         return self.problem.marked[int(rng.integers(self.problem.n_marked))]
 
+    draws_per_word = 2
+
+    def draw_block(self, words: np.ndarray) -> np.ndarray:
+        """What draw returns for each trial's stream words, row by row, as
+        positions in problem.marked: integers(m) reads the words' 32-bit
+        halves, low then high, and draws (x m) >> 32 unless Lemire's test
+        rejects x, where the half gives no draw (-2)."""
+        m = self.problem.n_marked
+        if m > 2**32:
+            raise ValueError(f"block draws take m <= 2**32, got m={m}")
+        # little-endian words viewed as 32-bit halves: low half, then high
+        halves = words.astype("<u8", copy=False).view("<u4")
+        k = halves.astype(np.uint64)
+        k *= np.uint64(m)
+        k >>= np.uint64(32)
+        k = k.view(np.int64)
+        threshold = (2**32 - m) % m
+        if threshold:  # then m < 2**32, and uint32 products keep (x m) mod 2**32
+            k[halves * np.uint32(m) < threshold] = -2
+        return k
+
 
 class QuantumSampler:
     """Measurement draws from the simulated final state of one exact run.
@@ -131,6 +157,19 @@ class QuantumSampler:
 
     def draw(self, rng: np.random.Generator) -> int:
         return measure_at(self._final, self.problem, rng.random())
+
+    draws_per_word = 1
+
+    def draw_block(self, words: np.ndarray) -> np.ndarray:
+        """What draw returns for each trial's stream words, row by row, as
+        positions in problem.marked (-1 for an unmarked state): random()
+        reads each word as one uniform."""
+        return marked_positions(self._final, self.problem, _uniforms(words))
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """random()'s doubles from stream words: (w >> 11) 2^-53, exact in float64."""
+    return (words >> 11) * 2.0**-53
 
 
 def execute_trial(

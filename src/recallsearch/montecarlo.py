@@ -1,8 +1,23 @@
 """Statistical harness: deterministic batch trials and uniformity testing.
 
-Trials run one after another, in trial order. Every trial owns a counter-based
-Philox stream keyed by (master_seed, trial_index), so its outcome depends only on
-its index; run_trials re-keys one generator per trial rather than building one.
+Every trial owns a counter-based stream, Philox4x64-10 keyed by (master_seed
+mod 2^64, trial_index mod 2^64), so its outcome depends only on its index.
+trial_stream is that stream as a numpy Generator, which the scalar reference
+(execute_trial) draws from. run_trials makes the same words for many trials at
+once with a numpy Philox kernel (trial_words) and settles the trials as arrays;
+it builds no Generator and never imports numpy.random. These rules fix every
+draw, and so the output bytes:
+
+- block n (n = 1, 2, ...) of a trial's stream is the four 64-bit words of
+  Philox4x64-10 at counter (n, 0, 0, 0), in order;
+- an ideal draw, integers(m), reads the next 32-bit half of the words, low half
+  then high, and returns (x m) >> 32, unless (x m) mod 2^32 < (2^32 - m) mod m
+  (Lemire's rejection), when it reads the next half instead; m = 1 reads none;
+- a quantum draw reads the next word w as the uniform (w >> 11) 2^-53, as
+  random() does, and measures the final state there (search.measure_at).
+
+Nothing reads a trial's stream after the trial ends, so drawing whole blocks
+past its end changes no outcome.
 """
 
 from __future__ import annotations
@@ -13,7 +28,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .driver import TrialOutcome, execute_trial
+from .analytics import BLOCK
+from .driver import Budgeted, TrialOutcome, Unbounded
 from .search import ProblemInstance
 
 
@@ -40,15 +56,37 @@ def trial_stream(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_stream_key(master_seed, trial_index)))
 
 
-def _trial_streams(master_seed: int, n_trials: int):
-    """Yield trial_stream(master_seed, t) for t < n_trials as one Generator re-keyed
-    in place: key (master_seed, t), zero counter, empty buffer, no buffered half."""
-    rng = trial_stream(master_seed, 0)
-    fresh = rng.bit_generator.state
-    for t in range(n_trials):
-        fresh["state"]["key"] = _stream_key(master_seed, t)
-        rng.bit_generator.state = fresh
-        yield rng
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+# SC'11): the round multipliers and the Weyl increments of the two key words.
+_M0, _M1 = np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157)
+_W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_LOW, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _mulhi(a: np.uint64, b: np.ndarray) -> np.ndarray:
+    """The high word of each 128-bit product a * b, from 32-bit halves."""
+    a_lo, a_hi = a & _LOW, a >> _32
+    b_lo, b_hi = b & _LOW, b >> _32
+    lo_hi, hi_lo = a_lo * b_hi, a_hi * b_lo
+    carry = ((a_lo * b_lo) >> _32) + (lo_hi & _LOW) + (hi_lo & _LOW)
+    return a_hi * b_hi + (lo_hi >> _32) + (hi_lo >> _32) + (carry >> _32)
+
+
+def trial_words(master_seed: int, trials: np.ndarray, first_block: np.ndarray,
+                blocks: int) -> np.ndarray:
+    """Stream words of many trials at once: row r holds blocks first_block[r] + 1
+    to first_block[r] + blocks of trial trials[r] (both uint64), 4 * blocks
+    words, as trial_stream's bit_generator.random_raw returns them."""
+    k0, k1 = master_seed % 2**64, np.repeat(trials, blocks)
+    x0 = (first_block[:, None] + np.arange(1, blocks + 1, dtype=np.uint64)).ravel()
+    x1 = x2 = x3 = np.zeros_like(x0)
+    for r in range(10):
+        if r:
+            k0, k1 = (k0 + _W0) % 2**64, k1 + np.uint64(_W1)
+        hi0, lo0 = _mulhi(_M0, x0), _M0 * x0
+        hi1, lo1 = _mulhi(_M1, x2), _M1 * x2
+        x0, x1, x2, x3 = hi1 ^ x1 ^ np.uint64(k0), lo1, hi0 ^ x3 ^ k1, lo0
+    return np.stack((x0, x1, x2, x3), axis=1).reshape(len(trials), 4 * blocks)
 
 
 def run_trials(
@@ -58,18 +96,130 @@ def run_trials(
     n_trials: int,
     master_seed: int,
 ) -> TrialStats:
-    """Execute n_trials independent trials and aggregate in trial order.
+    """Execute n_trials independent trials and aggregate them; equal, trial for
+    trial, to execute_trial on trial_stream(master_seed, t) for each t.
 
-    Deterministic for a given (problem, strategy, sampler kind, n_trials,
-    master_seed).
+    Live trials run in passes of at most BLOCK draws. A pass gives each live
+    trial the same number of whole stream blocks, maps them to draws with the
+    sampler's draw_block (a marked position, -1 for an unmarked state, -2 for
+    no draw), and finds the draws that turn up a new state: the first of each
+    position in the trial, not seen in an earlier pass. New states end steps:
+    with p_i the draw that ends step i, a budgeted trial fails at the first i
+    with p_i - p_{i-1} > r_i, after p_{i-1} + r_i runs, and otherwise ends
+    after p_m runs, as an unbounded one does. A trial its pass leaves
+    undecided gets the next pass; finished ones make room for new trials.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    outcomes = (
-        execute_trial(problem, sampler, strategy, rng)
-        for rng in _trial_streams(master_seed, n_trials)
-    )
-    return _aggregate(problem, outcomes, master_seed)
+    if sampler.problem != problem:
+        raise ValueError("sampler was built for a different problem")
+    m, cost = problem.n_marked, sampler.queries_per_draw
+    if isinstance(strategy, Budgeted):
+        plan = strategy.plan
+        if len(plan.budgets) != m or plan.queries_per_run != cost:
+            raise ValueError("plan does not match this problem/sampler")
+        budgets = np.array(plan.budgets, dtype=np.int64)
+    elif isinstance(strategy, Unbounded):
+        budgets = None
+    else:
+        raise ValueError(f"unknown strategy: {strategy!r}")
+
+    # Draws a trial gets per pass: a power of two, so that a full pass holds
+    # BLOCK of them, and at least the m (ln m + 2.25) that end 9 in 10
+    # unbounded trials (the coupon collector's Gumbel limit).
+    span = 4 * sampler.draws_per_word
+    while span < BLOCK and span < m * (math.log(m) + 2.25):
+        span *= 2
+    most, blocks = BLOCK // span, span // (4 * sampler.draws_per_word)
+    # The live trials: index, blocks read, draws made, states found, the draw
+    # that found the latest, and which positions they have seen.
+    trial = np.zeros(0, np.uint64)
+    block = np.zeros(0, np.uint64)
+    runs = found = last = np.zeros(0, np.int64)
+    seen = np.zeros((0, m), bool)
+    first = np.full(most * m + 1, BLOCK, np.int32)  # a pass's first entry of each key
+    started = runs_total = 0
+    fail_at = np.zeros(m + 1, np.int64)
+    while started < n_trials or trial.size:
+        fresh = min(most - trial.size, n_trials - started)
+        if fresh > 0:
+            fresh_trials = np.arange(fresh, dtype=np.uint64) + np.uint64(started % 2**64)
+            trial = np.concatenate((trial, fresh_trials))
+            block = np.concatenate((block, np.zeros(fresh, np.uint64)))
+            zeros = np.zeros(fresh, np.int64)
+            runs, found, last = (np.concatenate((a, zeros)) for a in (runs, found, last))
+            seen = np.concatenate((seen, np.zeros((fresh, m), bool)))
+            started += fresh
+        rows = trial.size
+        row, at, drawn, seen = _new_states(
+            sampler.draw_block(trial_words(master_seed, trial, block, blocks)), seen, first)
+        count = np.bincount(row, minlength=rows)
+        total = found + count
+        end = np.cumsum(count)
+        made = runs + drawn
+        newest = last.copy()  # the draw that found each trial's latest state
+        hit = np.flatnonzero(count)
+        newest[hit] = runs[hit] + at[end[hit] - 1]
+        done = total == m
+        spent = newest.copy()  # a finished trial's runs
+        failed = np.zeros(rows, np.int64)  # its failing step, 0 if it succeeded
+        if budgets is not None:
+            start = end - count
+            prev = np.empty_like(at)  # the draw that found the state before, in the pass
+            prev[1:] = at[:-1]
+            prev[start[hit]] = last[hit] - runs[hit]
+            step = found[row] + np.arange(at.size) - start[row] + 1
+            over = np.flatnonzero(at - prev > budgets[step - 1])
+            # a trial fails at its first step whose gap is over budget
+            over = over[np.diff(row[over], prepend=-1) != 0]
+            broke = row[over]
+            failed[broke] = step[over]
+            spent[broke] = runs[broke] + prev[over] + budgets[step[over] - 1]
+            # with no gap over budget, the open step fails once its budget is spent
+            budget = budgets[np.minimum(total, m - 1)]
+            out = ~done & (failed == 0) & (made - newest >= budget)
+            failed[out] = total[out] + 1
+            spent[out] = newest[out] + budget[out]
+            done |= failed > 0
+
+        ended = np.flatnonzero(done)
+        runs_total += int(spent[ended].sum())
+        np.add.at(fail_at, failed[ended], 1)
+        keep = ~done
+        trial, block = trial[keep], block[keep] + np.uint64(blocks)
+        runs, found, last, seen = made[keep], total[keep], newest[keep], seen[keep]
+    return _trial_stats(m, fail_at.tolist(), n_trials, runs_total, runs_total * cost, master_seed)
+
+
+def _new_states(keys: np.ndarray, seen: np.ndarray, first: np.ndarray):
+    """The draws of one pass that find a new state. keys is the sampler's
+    draw_block for the live trials, and is overwritten; seen says which
+    positions each trial has seen; first is scratch, at least rows * m + 1
+    sentinels BLOCK, left so. Returns the new states' rows and draw numbers
+    in the pass, row by row in draw order, each row's draws in the pass, and
+    the updated seen."""
+    rows, m = seen.shape
+    width = keys.shape[1]
+    skipped = keys < -1
+    drawn = np.cumsum(~skipped, axis=1) if skipped.any() else None  # draws up to each entry
+    # An entry finds a new state if it is the first of its key in the pass
+    # and the key was not seen before: a marked draw's key is (row,
+    # position), every other entry's is `dump`, which counts as seen.
+    dump = rows * m
+    base = np.arange(0, dump, m)[:, None]
+    keys += base
+    keys[keys < base] = dump
+    keys = keys.ravel()
+    order = np.arange(keys.size, dtype=np.int32)
+    np.minimum.at(first, keys, order)
+    known = np.append(seen.ravel(), True)
+    new = (first[keys] == order) & ~known[keys]
+    first[keys] = BLOCK  # clean for the next pass
+    known[keys[new]] = True
+    row, col = np.divmod(np.flatnonzero(new), width)
+    if drawn is None:
+        return row, col + 1, width, known[:dump].reshape(rows, m)
+    return row, drawn[row, col], drawn[:, -1], known[:dump].reshape(rows, m)
 
 
 def _aggregate(
@@ -79,19 +229,19 @@ def _aggregate(
     dropped once counted, so memory does not grow with the trial count."""
     m = problem.n_marked
     fail_at = [0] * (m + 1)
-    n = 0
-    runs_total = 0
-    queries_total = 0
-    successes = 0
+    n = runs_total = queries_total = 0
     for o in outcomes:
         n += 1
         runs_total += o.runs_used
         queries_total += o.queries_used
-        if o.success:
-            successes += 1
-        else:
+        if not o.success:
             fail_at[o.failed_at_step] += 1
+    return _trial_stats(m, fail_at, n, runs_total, queries_total, master_seed)
 
+
+def _trial_stats(m: int, fail_at: list[int], n: int, runs_total: int, queries_total: int,
+                 master_seed: int) -> TrialStats:
+    """The TrialStats of n trials, fail_at[i] of which failed at step i."""
     rates: list[float] = []
     errs: list[float] = []
     reached = n
@@ -112,7 +262,7 @@ def _aggregate(
         per_step_stderr=tuple(errs),
         mean_runs=runs_total / n,
         mean_queries=queries_total / n,
-        overall_success_rate=successes / n,
+        overall_success_rate=(n - sum(fail_at[1:])) / n,
         master_seed=master_seed,
     )
 

@@ -74,6 +74,13 @@ class ProblemInstance:
         return marked.stop - marked.start if isinstance(marked, range) else len(marked)
 
     @cached_property
+    def marked_ascending(self) -> tuple[np.ndarray, np.ndarray]:
+        """The marked indices in ascending order, and each one's position in marked."""
+        marked = np.array(self.marked)
+        order = np.argsort(marked)
+        return marked[order], order
+
+    @cached_property
     def unmarked_below(self) -> list[int]:
         """s - i, the unmarked indices below s, for the i-th smallest marked s."""
         return [s - i for i, s in enumerate(sorted(self.marked))]
@@ -278,6 +285,29 @@ def measure_at(state: QuantumState, problem: ProblemInstance, u: float) -> int:
     v = (u - p_marked) / (1.0 - p_marked)
     k = min(int(v * (problem.n_states - m)), problem.n_states - m - 1)
     return _unmarked_at(problem, k)
+
+
+def marked_positions(state: QuantumState, problem: ProblemInstance,
+                     u: np.ndarray) -> np.ndarray:
+    """For each uniform in the array u, the position in problem.marked of the
+    index measure_at draws, or -1 where it draws an unmarked one: the same
+    arithmetic, draw for draw. The shape is not checked."""
+    m = problem.n_marked
+    if state.representation == FULL:
+        idx = state.cdf.searchsorted(u * state.cdf_total, side="right")
+        np.minimum(idx, problem.n_states - 1, out=idx)
+        if isinstance(problem.marked, range):
+            idx -= problem.marked.start
+            idx[(idx < 0) | (idx >= m)] = -1
+            return idx
+        ascending, order = problem.marked_ascending
+        j = np.minimum(ascending.searchsorted(idx), m - 1)
+        return np.where(ascending[j] == idx, order[j], -1)
+    p_marked = state.p_marked
+    k = np.full(u.shape, -1, dtype=np.int64)
+    hit = (u < p_marked) | (p_marked >= 1.0)
+    k[hit] = np.minimum((u[hit] / p_marked * m).astype(np.int64), m - 1)
+    return k
 
 
 def run_search_once(

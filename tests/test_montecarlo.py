@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,25 +9,37 @@ import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from recallsearch import montecarlo
 from recallsearch.analytics import total_runs_closed_form
 from recallsearch.driver import (
     Budgeted,
     IdealSampler,
     QuantumSampler,
     Unbounded,
+    _uniforms,
     build_plan,
     execute_trial,
 )
 from recallsearch.montecarlo import (
     TrialStats,
     _aggregate,
-    _trial_streams,
     chi_square_critical,
     chi_square_uniformity,
     run_trials,
     trial_stream,
+    trial_words,
 )
-from recallsearch.search import ProblemInstance, derive_search_params, run_search_once
+from recallsearch.search import (
+    FULL,
+    SUBSPACE,
+    ProblemInstance,
+    QuantumState,
+    derive_search_params,
+    final_state,
+    marked_positions,
+    measure_at,
+    run_search_once,
+)
 
 
 def problem(n, m, delta=0.01):
@@ -68,30 +82,56 @@ class TestStreams:
         assert not np.array_equal(base, trial_stream(99, 6).random(8))
         assert not np.array_equal(base, trial_stream(100, 5).random(8))
 
-    # Each trial's draws: None is a random(), an int m an integers(m). An odd
-    # number of integers(m) with m <= 2**32 leaves a 32-bit half buffered for
-    # the next trial to inherit if re-keying missed it; larger m takes 64 bits.
-    @settings(max_examples=150, deadline=None)
-    @given(
-        seed=st.one_of(st.sampled_from([0, 2**64 - 1, -1, -(2**63)]),
-                       st.integers(min_value=-(2**70), max_value=2**70)),
-        trials=st.lists(
-            st.lists(st.one_of(st.none(), st.integers(min_value=1, max_value=2**40)),
-                     max_size=9),
-            min_size=1, max_size=6),
-    )
-    @example(seed=0, trials=[[5], [5, None]])
-    @example(seed=2**64 - 1, trials=[[None, 3, 7], [], [2**33, 9, 9]])
-    @example(seed=-7, trials=[[9] * 9, [None] * 5, [1, 2**32]])
-    def test_rekeyed_stream_equals_a_fresh_one(self, seed, trials):
-        def take(rng, draws):
-            return [rng.random() if m is None else int(rng.integers(m)) for m in draws]
+    # The batch kernel, pinned draw kind by draw kind against a fresh
+    # trial_stream, so a numpy change to Philox, integers or random fails
+    # here rather than changing simulate's bytes.
+    SEEDS = st.one_of(st.sampled_from([0, 2**64 - 1, -1, -(2**63), 2**70, -(2**70)]),
+                      st.integers(min_value=-(2**70), max_value=2**70))
+    TRIALS = st.one_of(st.sampled_from([0, 1, 2**32, 2**40]),
+                       st.integers(min_value=0, max_value=2**40))
 
-        streams = _trial_streams(seed, len(trials))
-        for t, (rng, draws) in enumerate(zip(streams, trials)):
-            fresh = trial_stream(seed, t)
-            assert repr(rng.bit_generator.state) == repr(fresh.bit_generator.state)
-            assert take(rng, draws) == take(fresh, draws)
+    @settings(max_examples=150, deadline=None)
+    @given(seed=SEEDS, trial=TRIALS, first=st.integers(min_value=0, max_value=40),
+           blocks=st.integers(min_value=1, max_value=12))
+    @example(seed=0, trial=0, first=0, blocks=1)
+    @example(seed=2**64 - 1, trial=2**40, first=3, blocks=5)
+    @example(seed=-(2**63), trial=2**32, first=0, blocks=2)
+    def test_kernel_words_equal_random_raw(self, seed, trial, first, blocks):
+        raw = trial_stream(seed, trial).bit_generator.random_raw(4 * (first + blocks))
+        words = trial_words(seed, np.array([trial], np.uint64), np.array([first], np.uint64), blocks)
+        assert words.shape == (1, 4 * blocks)
+        assert np.array_equal(words[0], raw[4 * first:])
+
+    def test_kernel_rows_are_independent_trials(self):
+        trials = np.array([5, 0, 2**40, 5], np.uint64)
+        starts = np.array([0, 2, 1, 3], np.uint64)
+        words = trial_words(-7, trials, starts, 3)
+        for row, (t, b) in enumerate(zip(trials.tolist(), starts.tolist())):
+            raw = trial_stream(-7, t).bit_generator.random_raw(4 * (b + 3))
+            assert np.array_equal(words[row], raw[4 * b:])
+
+    # m = 3 * 2**30 rejects about a quarter of the halves
+    @pytest.mark.parametrize("m", [1, 2, 3, 200, 2**20 - 1, 2**20, 3 * 2**30])
+    @pytest.mark.parametrize("seed,trial", [(0, 0), (2**64 - 1, 5), (-1, 2**40),
+                                            (-(2**63), 7), (2**70, 3), (-(2**70), 2**40 - 1)])
+    def test_ideal_positions_equal_integers(self, m, seed, trial):
+        prob = ProblemInstance(n_states=m + 1, marked=range(m), delta=0.5)
+        sampler = IdealSampler(prob, derive_search_params(prob))
+        words = trial_words(seed, np.array([trial], np.uint64), np.zeros(1, np.uint64), 100)
+        drawn = sampler.draw_block(words)[0]
+        rng = trial_stream(seed, trial)
+        expected = [int(rng.integers(m)) for _ in range(300)]
+        assert drawn[drawn != -2][:300].tolist() == expected
+        if m == 3 * 2**30:
+            assert 0.2 < np.mean(drawn == -2) < 0.3
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=SEEDS, trial=TRIALS)
+    @example(seed=-(2**70), trial=2**40)
+    def test_uniforms_equal_random(self, seed, trial):
+        words = trial_words(seed, np.array([trial], np.uint64), np.zeros(1, np.uint64), 8)
+        rng = trial_stream(seed, trial)
+        assert _uniforms(words[0]).tolist() == [rng.random() for _ in range(32)]
 
     def test_run_trials_equals_a_fresh_stream_per_trial(self):
         prob = ProblemInstance(n_states=64, marked=(3, 9, 20, 41, 63), delta=0.2)
@@ -99,6 +139,120 @@ class TestStreams:
         sampler, strategy = QuantumSampler(prob, params), Budgeted(build_plan(prob, params))
         outcomes = [execute_trial(prob, sampler, strategy, trial_stream(-3, t)) for t in range(300)]
         assert run_trials(prob, strategy, sampler, 300, -3) == _aggregate(prob, outcomes, -3)
+
+
+def oracle(prob, strategy, sampler, n_trials, seed):
+    """run_trials' definition: execute_trial on a fresh stream per trial."""
+    outcomes = [execute_trial(prob, sampler, strategy, trial_stream(seed, t))
+                for t in range(n_trials)]
+    return _aggregate(prob, outcomes, seed)
+
+
+def positions_of(prob, indices):
+    return [prob.marked.index(i) if i in prob.marked else -1 for i in indices]
+
+
+class TestBatchEngine:
+    """run_trials against the scalar reference, trial for trial."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.sampled_from([16, 64, 256]),
+        m=st.sampled_from([1, 2, 5, 13, "N"]),
+        scattered=st.booleans(),
+        delta=st.sampled_from([1 - 2**-53, 0.9, 0.3, 0.01, 1e-300]),
+        budgeted=st.booleans(),
+        sampler_kind=st.sampled_from(["ideal", FULL, SUBSPACE]),
+        n_trials=st.integers(min_value=1, max_value=150),
+        seed=st.integers(min_value=-(2**70), max_value=2**70),
+        block=st.sampled_from([16, 64, 512, None]),
+    )
+    @example(n=64, m="N", scattered=False, delta=0.3, budgeted=True,
+             sampler_kind=FULL, n_trials=3, seed=1, block=None)
+    @example(n=16, m=1, scattered=True, delta=0.01, budgeted=False,
+             sampler_kind="ideal", n_trials=20, seed=-1, block=16)
+    @example(n=256, m=13, scattered=True, delta=1 - 2**-53, budgeted=True,
+             sampler_kind=SUBSPACE, n_trials=150, seed=2**64, block=64)
+    def test_run_trials_equals_execute_trial(self, n, m, scattered, delta, budgeted,
+                                             sampler_kind, n_trials, seed, block):
+        if m == "N":  # every state marked: runs of zero iterations
+            n = m = 16
+        marked = tuple(range(n - 1, -1, -(n // m)))[:m] if scattered else range(n - m, n)
+        prob = ProblemInstance(n_states=n, marked=marked, delta=delta)
+        params = derive_search_params(prob)
+        if sampler_kind == "ideal":
+            sampler = IdealSampler(prob, params)
+        else:
+            sampler = QuantumSampler(prob, params, sampler_kind)
+        strategy = Budgeted(build_plan(prob, params)) if budgeted else Unbounded()
+        expected = oracle(prob, strategy, sampler, n_trials, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            # a small BLOCK makes passes of few trials, and trials of many passes
+            if block is not None:
+                patch.setattr(montecarlo, "BLOCK", block)
+            assert run_trials(prob, strategy, sampler, n_trials, seed) == expected
+
+    @pytest.mark.parametrize("rep", [FULL, SUBSPACE])
+    @pytest.mark.parametrize("marked", [range(40, 45), (63, 2, 17, 40)], ids=["range", "tuple"])
+    def test_marked_positions_equal_measure_at(self, rep, marked):
+        prob = ProblemInstance(n_states=64, marked=marked, delta=0.1)
+        params = derive_search_params(prob)
+        share = len(marked) / 64
+        uniform = np.full(64, 0.125) if rep == FULL else [math.sqrt(share), math.sqrt(1 - share)]
+        # the uniform state draws mostly unmarked indices
+        for state in (final_state(prob, params, rep), QuantumState(rep, uniform)):
+            p = float(abs(state.amplitudes[0]) ** 2)
+            u = np.concatenate((np.linspace(0.0, 1.0 - 2**-53, 2001),
+                                [np.nextafter(p, 0.0), p, np.nextafter(p, 1.0)]))
+            expected = positions_of(prob, [measure_at(state, prob, x) for x in u.tolist()])
+            assert marked_positions(state, prob, u).tolist() == expected
+
+    def test_ideal_blocks_stop_at_2_pow_32(self):
+        # (x m) >> 32 of a 32-bit half needs m <= 2**32; integers(m) takes 64 bits above
+        for m, ok in ((2**32, True), (2**32 + 1, False)):
+            prob = ProblemInstance(n_states=2**33, marked=range(m), delta=0.5)
+            sampler = IdealSampler(prob, derive_search_params(prob))
+            words = trial_words(3, np.array([1], np.uint64), np.zeros(1, np.uint64), 2)
+            if ok:
+                rng = trial_stream(3, 1)
+                assert sampler.draw_block(words)[0].tolist() == [
+                    int(rng.integers(m)) for _ in range(16)]
+            else:
+                with pytest.raises(ValueError, match="m <= 2\\*\\*32"):
+                    sampler.draw_block(words)
+
+    def test_rejects_what_execute_trial_rejects(self):
+        prob = problem(64, 4)
+        params = derive_search_params(prob)
+        sampler = IdealSampler(prob, params)
+        other = problem(64, 5)
+        with pytest.raises(ValueError, match="different problem"):
+            run_trials(other, Unbounded(), sampler, 5, 1)
+        plan = build_plan(other, derive_search_params(other))
+        with pytest.raises(ValueError, match="plan does not match"):
+            run_trials(prob, Budgeted(plan), sampler, 5, 1)
+        with pytest.raises(ValueError, match="unknown strategy"):
+            run_trials(prob, "greedy", sampler, 5, 1)
+
+    def test_simulate_never_imports_numpy_random(self):
+        # numpy.random costs about 6 MB resident, and simulate needs none of it
+        script = (
+            "import sys\n"
+            "from recallsearch import cli\n"
+            "for args in ('--sampler ideal', '--sampler ideal --strategy unbounded',\n"
+            "             '--sampler quantum --representation full',\n"
+            "             '--sampler quantum --representation subspace --strategy unbounded',\n"
+            "             '--sampler quantum --representation subspace',\n"
+            "             '--sampler quantum --representation full --strategy unbounded'):\n"
+            "    code = cli.run_command(cli.parse_config(\n"
+            "        ['simulate', '--n', '256', '--m', '5', '--delta', '0.05', '--trials', '50']\n"
+            "        + args.split()))\n"
+            "    assert code == 0, args\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              check=True)
+        assert done.stdout.splitlines()[-1] == "False"
 
 
 class TestRunTrials:
