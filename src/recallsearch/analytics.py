@@ -10,12 +10,12 @@ which is affine in ln(1/delta): the k-sum is computed once per m and the
 ln(1/delta) factor applied after. One kernel (budget_term_blocks) makes the
 terms 1/ln(m/k) in numpy blocks and reads r_{k+1} off each. step_budgets runs
 it for one m, _price_rows for any list of m (curves, compare tables and one-row
-reports): the rows share blocks, in buffers made once per process, and each
-row's budgets and terms, all under m, are summed exactly in float limbs
-(_limb_sums), equal bit for bit to math.fsum. From LANE_TERMS terms on, with
-two usable CPUs, the blocks alternate between two lanes (_run_lanes) whose
-integer totals are added after the join, so the lanes change no bit. Query
-totals price each run at the exact per-run iteration count, giving the
+reports): the rows share blocks, in buffers made once per process, and one
+routine (_limb_sums) sums each row's terms and whole-number budgets exactly in
+float limbs, the terms equal bit for bit to math.fsum. From LANE_TERMS terms
+on, with two usable CPUs, the blocks alternate between two lanes (_run_lanes)
+whose integer totals are added after the join, so the lanes change no bit.
+Query totals price each run at the exact per-run iteration count, giving the
 asymptotic sqrt(N/m) factor a concrete constant.
 """
 
@@ -47,8 +47,10 @@ RAMP = np.arange(1.0, BLOCK + 1)
 # limb loop's remainder and limb hold a block's k and budgets while it is
 # made. Both sets are made here, once per process and on the importing thread,
 # so pricing allocates nothing per m and a lane's thread makes none. A pricing
-# call owns both sets, so two callers' threads must not price at once.
+# call owns both sets while it holds _PRICING, so callers on several threads
+# price one at a time.
 _BUFFERS = tuple(tuple(np.empty(BLOCK) for _ in range(3)) for _ in range(2))
+_PRICING = threading.Lock()
 _UNITS_PER_ONE = 2**1074  # the smallest subnormal is 2**-1074
 # Fewest k-sum terms in one pricing call that pay for a second lane: below
 # this, the GIL hand-offs between a block's short numpy calls outweigh them.
@@ -113,9 +115,11 @@ def step_budget(m: int, i: int, delta: float) -> int:
     """Smallest number of runs r with ((i-1)/m)^r <= delta.
 
     Step 1 always turns up a new state, so its budget is a single run. The
-    closed-form ceil(ln(1/delta) / ln(m/(i-1))) seeds the answer and the
-    result is nudged so it exactly matches the minimal-r definition under
-    float pow semantics.
+    closed form ceil(ln(1/t) / -ln p) seeds r, nudged to match the minimal-r
+    definition under float pow semantics: p is the float (i-1)/m that pow
+    raises (ln m - ln(i-1) cancels near i = m), and t = delta + 2**-1075,
+    below which pow may round p**r to delta (some 0.4 m steps at 5e-324).
+    From this seed, m <= 1e12 takes a nudge or two at most.
     """
     if not 1 <= i <= m:
         raise ValueError(f"step index must satisfy 1 <= i <= m, got i={i}, m={m}")
@@ -124,8 +128,8 @@ def step_budget(m: int, i: int, delta: float) -> int:
     if i == 1:
         return 1
     p = (i - 1) / m
-    r = math.ceil(-math.log(delta) / (math.log(m) - math.log(i - 1)))
-    r = max(r, 1)
+    log_inv_t = -math.log(delta) - math.log1p(2.0**-1074 / delta / 2)
+    r = max(math.ceil(log_inv_t / -math.log(p)), 1)
     while p**r > delta:
         r += 1
     while r > 1 and p ** (r - 1) <= delta:
@@ -235,8 +239,9 @@ def _limb_sums(x, top: int, low: int, starts, limb, rest) -> list[int]:
     and x - q is exact and at most 2**(s - 1). A limb spans at most `width`
     bits above 2**s, so its n values sum exactly, in any order or segment,
     while n * 2**width < 2**53. C and the limb sums stay finite while
-    top - width <= 970: the kernel's terms are under m, so it holds for any
-    m < 2**1000. limb and rest are work buffers at least as long as x.
+    top - width <= 970: the kernel's terms are under m and its budgets under
+    745 m, so it holds for any m < 2**990. limb and rest are work buffers at
+    least as long as x; rest may be x itself, which is then overwritten.
     """
     width = min(53 - len(x).bit_length(), 51)  # 51: x + C <= 2**(s+53)
     totals = [0] * len(starts)
@@ -252,33 +257,23 @@ def _limb_sums(x, top: int, low: int, starts, limb, rest) -> list[int]:
     return [t + _units(v) for t, v in zip(totals, np.add.reduceat(x, starts).tolist())]  # on 2**low
 
 
-def _budget_totals(u, starts) -> list[int]:
-    """Exact sums of the segments of integer-valued budgets u, float64 or
-    int64, that begin at each index in starts. Budgets rise within a segment,
-    so where every segment's last entry is under 2**52 / len(u) they sum in
-    their own type (float64 is exact to 2**53, and half that leaves room for
-    a step out of order); else as Python ints, so int64 cannot wrap either."""
-    ends = [*starts[1:], len(u)]
-    if max(u[e - 1] for e in ends) < 2**52 // len(u):
-        return list(map(int, np.add.reduceat(u, starts).tolist()))
-    return [sum(map(int, u[a:b].tolist())) for a, b in zip(starts, ends)]
-
-
 def _price_blocks(blocks, delta: float | None, buffers, units, runs) -> None:
     """Add the packed blocks' exact per-row totals to units, the k-sum in
     units of 2**-1074, and, unless delta is None, to runs, the budgets of
     steps 2..m, working in buffers (rest, terms, limb).
 
     A row's terms rise with k, so each piece's first and last term bound the
-    block's limbs, with a bit to spare on each side for rounding; each piece
-    sums to its row.
+    block's limbs, with a bit to spare on each side for rounding; its budgets
+    rise too and are whole, so its last budget bounds them and they sum on the
+    grid 2**0, in place in u. Each piece sums to its row.
     """
     rest, terms, limb = buffers
     for pieces, y, u in budget_term_blocks(blocks, delta, rest, terms, limb):
         starts = [p[3] for p in pieces]
-        if u is not None:  # totalled before _limb_sums reuses limb
-            for p, r in zip(pieces, _budget_totals(u, starts)):
-                runs[p[0]] += r
+        if u is not None:  # before the terms reuse limb
+            top = math.frexp(max(u[at + count - 1] for _, _, _, at, count in pieces))[1]
+            for p, r in zip(pieces, _limb_sums(u, top, 0, starts, rest, u)):
+                runs[p[0]] += r >> 1074
         top = math.frexp(max(y[at + count - 1] for _, _, _, at, count in pieces))[1] + 1
         low = max(math.frexp(min(y[p[3]] for p in pieces))[1] - 54, -1074)
         for p, v in zip(pieces, _limb_sums(y, top, low, starts, limb, rest)):
@@ -300,9 +295,10 @@ def _price_rows(ms, delta: float | None = None):
     """
     lanes = 2 if sum(ms) - len(ms) >= LANE_TERMS and _usable_cpus() >= 2 else 1
     totals = [([0] * len(ms), None if delta is None else [0] * len(ms)) for _ in range(lanes)]
-    _run_lanes(range(lanes), lambda lane: _price_blocks(
-        itertools.islice(packed_blocks(ms), lane, None, lanes), delta, _BUFFERS[lane],
-        *totals[lane]))
+    with _PRICING:
+        _run_lanes(range(lanes), lambda lane: _price_blocks(
+            itertools.islice(packed_blocks(ms), lane, None, lanes), delta, _BUFFERS[lane],
+            *totals[lane]))
     units = [sum(row) for row in zip(*(u for u, _ in totals))]
     runs = None
     if delta is not None:  # step 1 is one run

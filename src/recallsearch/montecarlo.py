@@ -188,7 +188,7 @@ def run_trials(
         keep = ~done
         trial, block = trial[keep], block[keep] + np.uint64(blocks)
         runs, found, last, seen = made[keep], total[keep], newest[keep], seen[keep]
-    return _trial_stats(m, fail_at.tolist(), n_trials, runs_total, runs_total * cost, master_seed)
+    return _trial_stats(m, fail_at, n_trials, runs_total, runs_total * cost, master_seed)
 
 
 def _new_states(keys: np.ndarray, seen: np.ndarray, first: np.ndarray):
@@ -239,30 +239,24 @@ def _aggregate(
     return _trial_stats(m, fail_at, n, runs_total, queries_total, master_seed)
 
 
-def _trial_stats(m: int, fail_at: list[int], n: int, runs_total: int, queries_total: int,
+def _trial_stats(m: int, fail_at, n: int, runs_total: int, queries_total: int,
                  master_seed: int) -> TrialStats:
-    """The TrialStats of n trials, fail_at[i] of which failed at step i."""
-    rates: list[float] = []
-    errs: list[float] = []
-    reached = n
-    for step in range(1, m + 1):
-        won = reached - fail_at[step]
-        if reached == 0:
-            rates.append(math.nan)
-            errs.append(math.nan)
-            continue
-        p = won / reached
-        rates.append(p)
-        errs.append(math.sqrt(p * (1.0 - p) / reached))
-        reached = won
-
+    """The TrialStats of n trials, fail_at[i] of which failed at step i (a list
+    or an int64 array of m + 1 counts). Counts are under 2**53, so they turn
+    into floats exactly, and / and sqrt round as Python's do. The steps that
+    no trial reached, a tail, have NaN rates."""
+    won = n - np.cumsum(np.asarray(fail_at[1:], dtype=np.int64))  # trials past each step
+    reached = np.concatenate(([n], won[:-1]))
+    live = int(np.count_nonzero(reached))
+    p = won[:live] / reached[:live]
+    tail = [math.nan] * (m - live)
     return TrialStats(
         n_trials=n,
-        per_step_success_rate=tuple(rates),
-        per_step_stderr=tuple(errs),
+        per_step_success_rate=tuple(p.tolist() + tail),
+        per_step_stderr=tuple(np.sqrt(p * (1.0 - p) / reached[:live]).tolist() + tail),
         mean_runs=runs_total / n,
         mean_queries=queries_total / n,
-        overall_success_rate=(n - sum(fail_at[1:])) / n,
+        overall_success_rate=int(won[-1]) / n,
         master_seed=master_seed,
     )
 

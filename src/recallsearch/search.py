@@ -112,7 +112,8 @@ class SearchParams:
         j, phi = 0, 0.0
         if m != n:
             j = math.ceil((math.pi / 2 - beta) / (2 * beta))
-            phi = 2.0 * math.asin(math.sin(math.pi / (4 * j + 6)) / math.sin(beta))
+            # the ratio is at most 1 in exact arithmetic, and can round past it
+            phi = 2.0 * math.asin(min(math.sin(math.pi / (4 * j + 6)) / math.sin(beta), 1.0))
         iterations = j + 1 if m != n else 0
         for name, value in dict(beta=beta, j=j, iterations=iterations, phi=phi).items():
             object.__setattr__(self, name, value)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import threading
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from recallsearch import analytics
 from recallsearch.analytics import (
     BLOCK,
-    _budget_totals,
     _limb_sums,
     _price_rows,
     compare_models,
@@ -380,34 +380,72 @@ class TestExactSum:
         assert peak < 4 * 2**20
 
 
-class TestBudgetTotal:
-    def test_does_not_wrap_int64(self):
-        # four budgets of 2**62 sum to 2**64, past int64
-        rising = np.array([1, 1, 2, 2**62, 2**62, 2**62, 2**62], dtype=np.int64)
-        assert _budget_totals(rising, [0]) == [4 + 2**64]
-        assert _budget_totals(rising, [0, 3]) == [4, 2**64]
-        assert _budget_totals(np.full(BLOCK, 2**62 - 1, dtype=np.int64), [0]) == [BLOCK * (2**62 - 1)]
-        assert _budget_totals(np.full(4, 2**61, dtype=np.int64), [0]) == [2**63]
+def budget_top(u, starts):
+    """The bound _price_blocks takes on whole-number budgets u, in segments
+    that begin at each index in starts: every u < 2**top, from each
+    segment's last entry, its largest."""
+    return math.frexp(max(u[e - 1] for e in [*starts[1:], len(u)]))[1]
 
-    def test_int64_path_just_below_the_switch(self):
+
+def budget_sums(u, starts):
+    """The segments' exact sums, as _price_blocks takes them: in place in u,
+    on the grid 2**0."""
+    top = budget_top(u, starts)
+    return [v >> 1074 for v in _limb_sums(u, top, 0, starts, np.empty(len(u)), u)]
+
+
+def limb_loop_runs(u, starts):
+    """Whether budget_sums(u, starts) cuts u into limbs before its last sum."""
+    return budget_top(u, starts) > min(53 - len(u).bit_length(), 51)
+
+
+class TestBudgetTotal:
+    """Budget totals by the k-sum's limb loop (_limb_sums), exact as ints."""
+
+    def test_sums_past_int64(self):
+        # four budgets of 2**62 sum to 2**64, past int64
+        rising = np.array([1.0, 1.0, 2.0] + [2.0**62] * 4)
+        assert limb_loop_runs(rising, [0])
+        assert budget_sums(rising.copy(), [0]) == [4 + 2**64]
+        assert budget_sums(rising.copy(), [0, 3]) == [4, 2**64]
+        assert budget_sums(np.full(BLOCK, 2.0**62), [0]) == [BLOCK * 2**62]
+        assert budget_sums(np.full(4, 2.0**61), [0]) == [2**63]
+
+    def test_whole_number_float_blocks(self):
+        # BLOCK budgets just under 2**52 / BLOCK sum in one reduceat, with no
+        # limb; two budgets of 2**53 - 1 would round to 2**54 in one
+        budget = 2**52 // BLOCK - 1
+        assert not limb_loop_runs(np.full(BLOCK, float(budget)), [0])
+        assert budget_sums(np.full(BLOCK, float(budget)), [0]) == [BLOCK * budget]
+        rising = np.array([1.0, 2.0**53 - 1, 2.0**53 - 1])
+        assert int(np.add.reduceat(rising, [0])[0]) != 2**54 - 1
+        assert limb_loop_runs(rising, [0])
+        assert budget_sums(rising, [0]) == [2**54 - 1]
+        both = np.array([3.0, 4.0, 2.0**53 - 1, 2.0**53 - 1])
+        assert budget_sums(both, [0, 2]) == [7, 2**54 - 2]
+
+    def test_limb_loop_on_large_budgets(self):
         budget = 2**62 // BLOCK - 1
-        assert _budget_totals(np.full(BLOCK, budget, dtype=np.int64), [0]) == [BLOCK * budget]
+        assert limb_loop_runs(np.full(BLOCK, float(budget)), [0])
+        assert budget_sums(np.full(BLOCK, float(budget)), [0]) == [BLOCK * budget]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(st.lists(st.integers(min_value=1, max_value=2**53), min_size=1,
+                               max_size=40), min_size=1, max_size=6),
+        scale=st.integers(min_value=0, max_value=10),
+    )
+    def test_rising_segments_equal_int_sums(self, rows, scale):
+        # whole-number floats to 2**63, each segment rising
+        rows = [[v << scale for v in sorted(row)] for row in rows]
+        starts = list(itertools.accumulate([0] + [len(row) for row in rows[:-1]]))
+        u = np.array([float(v) for row in rows for v in row])
+        assert budget_sums(u, starts) == [sum(row) for row in rows]
 
     def test_compare_models_totals_the_step_budgets(self):
         for m, delta in [(2, 0.01), (BLOCK + 2, 1e-300)]:
             expected = sum(step_budget(m, i, delta) for i in range(1, m + 1))
             assert compare_models(m, 2**40, delta).r_integer == expected
-
-    def test_integer_valued_float_blocks(self):
-        # the float64 sum is exact below the switch; above it, two budgets
-        # of 2**53 - 1 would round to 2**54 in float64
-        budget = 2**52 // BLOCK - 1
-        assert _budget_totals(np.full(BLOCK, float(budget)), [0]) == [BLOCK * budget]
-        rising = np.array([1.0, 2.0**53 - 1, 2.0**53 - 1])
-        assert _budget_totals(rising, [0]) == [2**54 - 1]
-        # one segment's last entry past the switch sends every segment to ints
-        both = np.array([3.0, 4.0, 2.0**53 - 1, 2.0**53 - 1])
-        assert _budget_totals(both, [0, 2]) == [7, 2**54 - 2]
 
 
 class TestOnePass:
@@ -430,6 +468,35 @@ class TestOnePass:
         for delta in (0.01, 1e-320, 1 - 2**-53):
             assert compare_models(BLOCK + 2, 2**40, delta).r_integer == sum(
                 step_budget(BLOCK + 2, i, delta) for i in range(1, BLOCK + 3))
+
+
+class TestConcurrentPricing:
+    def test_threads_price_as_one(self):
+        # the pricing buffers are shared: a thread's call must not write into
+        # another's blocks. Errors are collected, since a thread's exception
+        # (or pytest's RuntimeWarning filter there) would not fail the test.
+        ms, delta = range(70_000, 150_000, 2_000), 0.01
+
+        def price():
+            return [(total_runs_closed_form(m, delta), compare_models(m, 2**40, delta))
+                    for m in ms]
+
+        serial = price()
+        results, errors = [None, None], []
+
+        def run(t):
+            try:
+                results[t] = price()
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert results == [serial, serial]
 
 
 def row_oracle(m, delta):

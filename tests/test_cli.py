@@ -610,6 +610,19 @@ class TestErrors:
         assert "Traceback" not in captured.err
         assert str(exc).splitlines()[-1] in captured.err
 
+    # 2**109 + 2**99 with m = 1, where the matched phase's ratio rounds past 1
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--m", "1", "--delta", "0.01"],
+        ["compare", "--m-range", "1:1", "--delta", "0.01"],
+        ["simulate", "--sampler", "quantum", "--representation", "subspace", "--m", "1",
+         "--delta", "0.05", "--trials", "5"],
+    ], ids=["analyze", "compare", "simulate-subspace"])
+    def test_matched_phase_at_a_ratio_past_one(self, argv, capsys):
+        assert run_cli([*argv, "--n", str(2**109 + 2**99)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "649670932616967568267060392755200" in captured.out
+
 
 # sha256 of stdout, recorded before the options moved into one table
 GOLDEN_OUTPUTS = [

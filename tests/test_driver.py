@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -29,6 +33,7 @@ from recallsearch.search import (
 )
 from test_search import uniform_state
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 def brute_force_budget(m, i, delta):
     """Smallest r with ((i-1)/m)^r <= delta, by linear scan."""
@@ -77,6 +82,30 @@ class TestStepBudget:
             st.floats(min_value=1e-9, max_value=0.99, allow_nan=False)
         )
         assert step_budget(m, i, delta) == brute_force_budget(m, i, delta)
+
+    def test_seed_does_not_crawl_near_i_equal_m(self):
+        # ln m - ln(i - 1) cancels near i = m: seeded from it, this budget
+        # takes about 1e10 nudges
+        script = ("from recallsearch.analytics import step_budget\n"
+                  "print(step_budget(10**12, 10**12, 0.01))\n")
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+        assert done.stdout == "4605272062526\n", done.stderr
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(min_value=2, max_value=10**12),
+        at=st.sampled_from(["2", "m // 2", "m - 1", "m"]),
+        delta=st.floats(min_value=5e-324, max_value=1 - 2**-53),
+    )
+    @example(m=10**12, at="m", delta=5e-324)
+    @example(m=10**12, at="m - 1", delta=1 - 2**-53)
+    def test_meets_the_definition_up_to_m_1e12(self, m, at, delta):
+        # m <= 1e12 keeps r < 2**53, where p**r is exact in r
+        i = {"2": 2, "m // 2": m // 2, "m - 1": m - 1, "m": m}[at]
+        r, p = step_budget(m, i, delta), (i - 1) / m
+        assert p**r <= delta
+        assert r == 1 or p ** (r - 1) > delta
 
     def test_rejects_bad_step_index(self):
         with pytest.raises(ValueError, match="step index"):

@@ -255,6 +255,44 @@ class TestBatchEngine:
         assert done.stdout.splitlines()[-1] == "False"
 
 
+def loop_trial_stats(m, fail_at, n, runs_total, queries_total, master_seed):
+    """Independent oracle: the per-step rates step by step, in Python floats."""
+    rates, errs, reached = [], [], n
+    for step in range(1, m + 1):
+        won = reached - fail_at[step]
+        if reached == 0:
+            rates.append(math.nan)
+            errs.append(math.nan)
+            continue
+        p = won / reached
+        rates.append(p)
+        errs.append(math.sqrt(p * (1.0 - p) / reached))
+        reached = won
+    return TrialStats(
+        n_trials=n, per_step_success_rate=tuple(rates), per_step_stderr=tuple(errs),
+        mean_runs=runs_total / n, mean_queries=queries_total / n,
+        overall_success_rate=(n - sum(fail_at[1:])) / n, master_seed=master_seed)
+
+
+class TestTrialStats:
+    @settings(max_examples=150, deadline=None)
+    @given(failed=st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=300),
+           later=st.integers(min_value=0, max_value=5),
+           runs=st.integers(min_value=0, max_value=2**40))
+    @example(failed=[1, 2, 2], later=3, runs=7)
+    def test_arrays_equal_the_loop(self, failed, later, runs):
+        # each trial's failing step, 0 for a success, and `later` steps past
+        # the last failure; the example's trials all fail by step 2 of 5, so
+        # steps 3..5 are NaN
+        m = max(max(failed) + later, 1)
+        fail_at = np.bincount(failed, minlength=m + 1)
+        want = loop_trial_stats(m, fail_at.tolist(), len(failed), runs, 3 * runs, -1)
+        for counts in (fail_at, fail_at.tolist()):
+            got = montecarlo._trial_stats(m, counts, len(failed), runs, 3 * runs, -1)
+            assert repr(got) == repr(want)
+            assert got == want
+
+
 class TestRunTrials:
     def test_single_marked(self):
         prob = problem(16, 1)

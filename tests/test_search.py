@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from recallsearch.search import (
@@ -104,6 +104,29 @@ class TestDeriveParams:
             SearchParams(4, 5)
         with pytest.raises(ValueError, match="underflows"):
             SearchParams(2**1100, 2)
+
+
+# with m = 1, the matched phase's ratio sin(pi / (4j + 6)) / sin(beta)
+# rounds to 1 + 2**-52 at this N
+RATIO_PAST_ONE_N = 2**109 + 2**99
+
+
+class TestMatchedPhaseEverywhere:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # every bit length to 1023 alike, not mostly the longest
+        n=st.integers(min_value=1, max_value=1023).flatmap(
+            lambda bits: st.integers(min_value=2 ** (bits - 1), max_value=2**bits)),
+        at=st.sampled_from(["1", "2", "3", "N // 4", "N // 2", "N - 3", "N - 2", "N - 1", "N"]),
+    )
+    @example(n=RATIO_PAST_ONE_N, at="1")
+    def test_every_valid_n_is_exact(self, n, at):
+        m = {"1": 1, "2": 2, "3": 3, "N // 4": n // 4, "N // 2": n // 2,
+             "N - 3": n - 3, "N - 2": n - 2, "N - 1": n - 1, "N": n}[at]
+        assume(1 <= m <= n)
+        params = SearchParams(n, m)
+        prob = ProblemInstance(n_states=n, marked=range(m), delta=0.01)
+        assert abs(1.0 - success_probability(prob, params, SUBSPACE)) <= 1e-12
 
 
 def formula_params(n, m):
