@@ -11,10 +11,10 @@ ln(1/delta) factor applied after. One kernel (budget_term_blocks) makes the
 terms 1/ln(m/k) in numpy blocks and reads r_{k+1} off each. step_budgets runs
 it for one m, _price_rows for any list of m (curves, compare tables and one-row
 reports): the rows share blocks, in buffers made once per process, and one
-routine (_limb_sums) sums each row's terms and whole-number budgets exactly in
-float limbs, the terms equal bit for bit to math.fsum. From LANE_TERMS terms
-on, with two usable CPUs, the blocks alternate between two lanes (_run_lanes)
-whose integer totals are added after the join, so the lanes change no bit.
+routine (_limb_sums) cuts each row's terms and whole-number budgets into exact
+float partials, summed once a row after the blocks (the terms by math.fsum).
+From LANE_TERMS terms on, with two usable CPUs, the blocks alternate between
+two lanes (_run_lanes) that extend the same partials, so they change no bit.
 Query totals price each run at the exact per-run iteration count, giving the
 asymptotic sqrt(N/m) factor a concrete constant.
 """
@@ -51,7 +51,6 @@ RAMP = np.arange(1.0, BLOCK + 1)
 # price one at a time.
 _BUFFERS = tuple(tuple(np.empty(BLOCK) for _ in range(3)) for _ in range(2))
 _PRICING = threading.Lock()
-_UNITS_PER_ONE = 2**1074  # the smallest subnormal is 2**-1074
 # Fewest k-sum terms in one pricing call that pay for a second lane: below
 # this, the GIL hand-offs between a block's short numpy calls outweigh them.
 LANE_TERMS = 2**20
@@ -128,6 +127,8 @@ def step_budget(m: int, i: int, delta: float) -> int:
     if i == 1:
         return 1
     p = (i - 1) / m
+    if p == 1.0:  # no finite r: (i-1)/m rounds to 1 near i = m once m >= 2**54
+        raise ValueError(f"(i-1)/m rounds to 1 at i={i}, m={m}: no finite budget")
     log_inv_t = -math.log(delta) - math.log1p(2.0**-1074 / delta / 2)
     r = max(math.ceil(log_inv_t / -math.log(p)), 1)
     while p**r > delta:
@@ -224,48 +225,44 @@ def step_budgets(m: int, delta: float) -> tuple[int, ...]:
     return tuple(budgets.tolist())
 
 
-def _units(v: float) -> int:
-    """v as an exact integer count of 2**-1074."""
-    num, den = v.as_integer_ratio()
-    return num << (1075 - den.bit_length())
-
-
-def _limb_sums(x, top: int, low: int, starts, limb, rest) -> list[int]:
-    """Exact sums of the segments of 1..BLOCK positive finite values x that
-    begin at each index in starts, in units of 2**-1074, given every
+def _limb_sums(x, top: int, low: int, starts, limb, rest) -> list[tuple[float, ...]]:
+    """For each segment of 1..BLOCK positive finite values x that begins at an
+    index in starts, floats whose exact sum is the segment's, given every
     x < 2**top and a multiple of 2**low. x is cut from the top into float limbs
     (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31(1), 2008): with
     C = 1.5 * 2**(s + 52), q = (x + C) - C is x rounded to a multiple of 2**s,
     and x - q is exact and at most 2**(s - 1). A limb spans at most `width`
-    bits above 2**s, so its n values sum exactly, in any order or segment,
-    while n * 2**width < 2**53. C and the limb sums stay finite while
-    top - width <= 970: the kernel's terms are under m and its budgets under
-    745 m, so it holds for any m < 2**990. limb and rest are work buffers at
-    least as long as x; rest may be x itself, which is then overwritten.
+    bits above 2**s, so its n values, and the last remainder's on 2**low, sum
+    exactly in any order or segment while n * 2**width < 2**53. C and these
+    partials stay finite while top - width <= 970: the kernel's terms are under
+    m and its budgets under 745 m, so it holds for any m < 2**990. limb and
+    rest are work buffers at least as long as x; rest may be x itself, which
+    is then overwritten.
     """
     width = min(53 - len(x).bit_length(), 51)  # 51: x + C <= 2**(s+53)
-    totals = [0] * len(starts)
+    partials = []
     q, rest = limb[: len(x)], rest[: len(x)]
     while top - width > low:
         s = top - width
         c = math.ldexp(1.5, s + 52)
         np.add(x, c, out=q)
         np.subtract(q, c, out=q)
-        totals = [t + _units(v) for t, v in zip(totals, np.add.reduceat(q, starts).tolist())]
+        partials.append(np.add.reduceat(q, starts).tolist())
         x = np.subtract(x, q, out=rest)
         top = s - 1  # every |x| <= 2**top
-    return [t + _units(v) for t, v in zip(totals, np.add.reduceat(x, starts).tolist())]  # on 2**low
+    partials.append(np.add.reduceat(x, starts).tolist())  # on 2**low
+    return list(zip(*partials))
 
 
-def _price_blocks(blocks, delta: float | None, buffers, units, runs) -> None:
-    """Add the packed blocks' exact per-row totals to units, the k-sum in
-    units of 2**-1074, and, unless delta is None, to runs, the budgets of
+def _price_blocks(blocks, delta: float | None, buffers, sums, runs) -> None:
+    """Extend sums[row] with the exact partials of the packed blocks' k-sum
+    terms and, unless delta is None, runs[row] with those of the budgets of
     steps 2..m, working in buffers (rest, terms, limb).
 
     A row's terms rise with k, so each piece's first and last term bound the
     block's limbs, with a bit to spare on each side for rounding; its budgets
     rise too and are whole, so its last budget bounds them and they sum on the
-    grid 2**0, in place in u. Each piece sums to its row.
+    grid 2**0, in place in u. Each piece's partials go to its row.
     """
     rest, terms, limb = buffers
     for pieces, y, u in budget_term_blocks(blocks, delta, rest, terms, limb):
@@ -273,11 +270,11 @@ def _price_blocks(blocks, delta: float | None, buffers, units, runs) -> None:
         if u is not None:  # before the terms reuse limb
             top = math.frexp(max(u[at + count - 1] for _, _, _, at, count in pieces))[1]
             for p, r in zip(pieces, _limb_sums(u, top, 0, starts, rest, u)):
-                runs[p[0]] += r >> 1074
+                runs[p[0]].extend(r)
         top = math.frexp(max(y[at + count - 1] for _, _, _, at, count in pieces))[1] + 1
         low = max(math.frexp(min(y[p[3]] for p in pieces))[1] - 54, -1074)
         for p, v in zip(pieces, _limb_sums(y, top, low, starts, limb, rest)):
-            units[p[0]] += v
+            sums[p[0]].extend(v)
 
 
 def _price_rows(ms, delta: float | None = None):
@@ -287,23 +284,19 @@ def _price_rows(ms, delta: float | None = None):
 
     The rows' terms share blocks (packed_blocks). With LANE_TERMS terms or
     more and two usable CPUs, the blocks alternate between two lanes, else
-    all go to one, which runs here with no thread (_run_lanes). Each lane adds
-    to its own integer totals, summed row by row after the join; integer sums
-    do not depend on order, so the lanes change no bit of the result. Each
-    lane walks the blocks and skips the others', which costs about 1 ms for
-    fig1; a list of the blocks would hold every piece at once.
+    all go to one, which runs here with no thread (_run_lanes). Both extend
+    the same per-row lists (one list.extend is one step under the GIL), and
+    each row's exact partials are summed once after the join, which no order
+    changes. Each lane walks the blocks and skips the others', which costs
+    about 1 ms for fig1; a list of the blocks would hold every piece at once.
     """
     lanes = 2 if sum(ms) - len(ms) >= LANE_TERMS and _usable_cpus() >= 2 else 1
-    totals = [([0] * len(ms), None if delta is None else [0] * len(ms)) for _ in range(lanes)]
+    sums, runs = [[] for _ in ms], None if delta is None else [[] for _ in ms]
     with _PRICING:
-        _run_lanes(range(lanes), lambda lane: _price_blocks(
-            itertools.islice(packed_blocks(ms), lane, None, lanes), delta, _BUFFERS[lane],
-            *totals[lane]))
-    units = [sum(row) for row in zip(*(u for u, _ in totals))]
-    runs = None
-    if delta is not None:  # step 1 is one run
-        runs = [1 + sum(row) for row in zip(*(r for _, r in totals))]
-    return [v / _UNITS_PER_ONE for v in units], runs
+        _run_lanes(range(lanes), lambda lane: _price_blocks(itertools.islice(
+            packed_blocks(ms), lane, None, lanes), delta, _BUFFERS[lane], sums, runs))
+    runs = None if delta is None else [1 + sum(map(int, row)) for row in runs]  # r_1 = 1
+    return [math.fsum(row) for row in sums], runs
 
 
 def total_runs_closed_form(m: int, delta: float) -> float:

@@ -411,7 +411,7 @@ def _load_config_file(path: str, command: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _PARSER.error(f"--config: cannot read {path}: {exc}")
     values = {}
     for lineno, raw in enumerate(lines, start=1):

@@ -172,6 +172,22 @@ def _uniforms(words: np.ndarray) -> np.ndarray:
     return (words >> 11) * 2.0**-53
 
 
+def _plan_budgets(problem: ProblemInstance, sampler, strategy) -> tuple[int, ...] | None:
+    """The step budgets of a Budgeted strategy's plan, or None for Unbounded,
+    once the sampler and plan are checked against the problem."""
+    if sampler.problem != problem:
+        raise ValueError("sampler was built for a different problem")
+    if isinstance(strategy, Budgeted):
+        plan = strategy.plan
+        if (len(plan.budgets) != problem.n_marked
+                or plan.queries_per_run != sampler.queries_per_draw):
+            raise ValueError("plan does not match this problem/sampler")
+        return plan.budgets
+    if isinstance(strategy, Unbounded):
+        return None
+    raise ValueError(f"unknown strategy: {strategy!r}")
+
+
 def execute_trial(
     problem: ProblemInstance,
     sampler,
@@ -185,8 +201,7 @@ def execute_trial(
     budget and costs a full run's queries, whether or not it turns up a new
     state.
     """
-    if sampler.problem != problem:
-        raise ValueError("sampler was built for a different problem")
+    budgets = _plan_budgets(problem, sampler, strategy)
     marked = set(problem.marked)
     m = len(marked)
     cost = sampler.queries_per_draw
@@ -195,15 +210,10 @@ def execute_trial(
     runs = 0
     failed_at = None
 
-    if isinstance(strategy, Budgeted):
-        plan = strategy.plan
-        if len(plan.budgets) != m or plan.queries_per_run != cost:
-            raise ValueError("plan does not match this problem/sampler")
-        steps = (range(budget) for budget in plan.budgets)
-    elif isinstance(strategy, Unbounded):
+    if budgets is None:
         steps = itertools.repeat(itertools.count(), m)
     else:
-        raise ValueError(f"unknown strategy: {strategy!r}")
+        steps = (range(budget) for budget in budgets)
     for step, attempts in enumerate(steps, start=1):
         for _ in attempts:
             runs += 1

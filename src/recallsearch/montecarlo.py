@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .analytics import BLOCK
-from .driver import Budgeted, TrialOutcome, Unbounded
+from .driver import TrialOutcome, _plan_budgets
 from .search import ProblemInstance
 
 
@@ -111,18 +111,10 @@ def run_trials(
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    if sampler.problem != problem:
-        raise ValueError("sampler was built for a different problem")
+    budgets = _plan_budgets(problem, sampler, strategy)
+    if budgets is not None:
+        budgets = np.array(budgets, dtype=np.int64)
     m, cost = problem.n_marked, sampler.queries_per_draw
-    if isinstance(strategy, Budgeted):
-        plan = strategy.plan
-        if len(plan.budgets) != m or plan.queries_per_run != cost:
-            raise ValueError("plan does not match this problem/sampler")
-        budgets = np.array(plan.budgets, dtype=np.int64)
-    elif isinstance(strategy, Unbounded):
-        budgets = None
-    else:
-        raise ValueError(f"unknown strategy: {strategy!r}")
 
     # Draws a trial gets per pass: a power of two, so that a full pass holds
     # BLOCK of them, and at least the m (ln m + 2.25) that end 9 in 10

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 import threading
 import tracemalloc
 
@@ -238,7 +239,7 @@ def limb_sum(x):
     top = math.frexp(x.max())[1]  # every x < 2**top
     low = max(math.frexp(x.min())[1] - 53, -1074)
     limb, rest = np.empty(len(x)), np.empty(len(x))
-    return _limb_sums(x, top, low, [0], limb, rest)[0] / analytics._UNITS_PER_ONE
+    return math.fsum(_limb_sums(x, top, low, [0], limb, rest)[0])
 
 
 LENGTHS = st.sampled_from([1, 2, BLOCK - 1, BLOCK])
@@ -391,7 +392,7 @@ def budget_sums(u, starts):
     """The segments' exact sums, as _price_blocks takes them: in place in u,
     on the grid 2**0."""
     top = budget_top(u, starts)
-    return [v >> 1074 for v in _limb_sums(u, top, 0, starts, np.empty(len(u)), u)]
+    return [sum(map(int, parts)) for parts in _limb_sums(u, top, 0, starts, np.empty(len(u)), u)]
 
 
 def limb_loop_runs(u, starts):
@@ -583,3 +584,44 @@ class TestPricingLanes:
             assert threads == {True, False}
         assert [v.hex() for v in two[0]] == [v.hex() for v in one[0]]
         assert two[1] == one[1]
+
+    @pytest.mark.parametrize("delta", [None, 0.01])
+    @pytest.mark.parametrize("ms", ROW_LISTS.values(), ids=ROW_LISTS.keys())
+    def test_lanes_extend_the_same_rows_in_any_order(self, ms, delta):
+        # both lanes extend one list of partials per row; run lane 1 first,
+        # so a row's partials land out of block order, and its sums still
+        # equal one lane's bit for bit
+        order = []
+
+        def reversed_lanes(lanes, run):
+            for lane in reversed(lanes):
+                order.append(lane)
+                run(lane)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analytics, "_usable_cpus", lambda: 1)
+            one = _price_rows(ms, delta)
+            patch.setattr(analytics, "LANE_TERMS", 0)
+            patch.setattr(analytics, "_usable_cpus", lambda: 2)
+            patch.setattr(analytics, "_run_lanes", reversed_lanes)
+            two = _price_rows(ms, delta)
+        assert order == [1, 0]
+        assert [v.hex() for v in two[0]] == [v.hex() for v in one[0]]
+        assert two[1] == one[1]
+
+    def test_lanes_share_rows_while_the_gil_switches_often(self):
+        # two threads extend the same rows' lists, handing over the GIL every
+        # microsecond: a lost partial would move a row's sum or budget total
+        ms = [3 * BLOCK + 5, 7, 5 * BLOCK, 2 * BLOCK + 1]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analytics, "_usable_cpus", lambda: 1)
+            one = _price_rows(ms, 0.01)
+            patch.setattr(analytics, "LANE_TERMS", 0)
+            patch.setattr(analytics, "_usable_cpus", lambda: 2)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                twos = [_price_rows(ms, 0.01) for _ in range(5)]
+            finally:
+                sys.setswitchinterval(interval)
+        assert all(two == one for two in twos)

@@ -110,6 +110,14 @@ class TestParseConfig:
         assert exc.value.code == 2
         assert "shots" in capsys.readouterr().err
 
+    def test_config_file_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"n=\xff\n")
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["analyze", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
+
     def test_missing_required_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             parse_config(["analyze", "--n", "16"])

@@ -107,6 +107,16 @@ class TestStepBudget:
         assert p**r <= delta
         assert r == 1 or p ** (r - 1) > delta
 
+    def test_rejects_a_step_whose_p_rounds_to_one(self):
+        # (i-1)/m rounds to 1.0 at i = m from m = 2**54: no finite r exists
+        for m in (2**54, 2**54 + 7):
+            with pytest.raises(ValueError, match=f"m={m}"):
+                step_budget(m, m, 0.01)
+        m = 2**54 - 1  # the largest m with (m-1)/m below 1
+        r, p = step_budget(m, m, 0.01), (m - 1) / m
+        assert p < 1.0
+        assert p**r <= 0.01 < p ** (r - 1)
+
     def test_rejects_bad_step_index(self):
         with pytest.raises(ValueError, match="step index"):
             step_budget(5, 0, 0.1)
