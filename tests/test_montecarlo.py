@@ -85,22 +85,39 @@ class TestStreams:
     # The batch kernel, pinned draw kind by draw kind against a fresh
     # trial_stream, so a numpy change to Philox, integers or random fails
     # here rather than changing simulate's bytes.
+    # The kernel folds rounds 0 and 1 and keys each row by a column: trial
+    # keys near 2^64 wrap within the ten rounds, and first blocks reach 2^40.
     SEEDS = st.one_of(st.sampled_from([0, 2**64 - 1, -1, -(2**63), 2**70, -(2**70)]),
                       st.integers(min_value=-(2**70), max_value=2**70))
-    TRIALS = st.one_of(st.sampled_from([0, 1, 2**32, 2**40]),
+    TRIALS = st.one_of(st.sampled_from([0, 1, 2**32, 2**40, 2**64 - 2, 2**64 - 1]),
+                       st.integers(min_value=0, max_value=2**64 - 1))
+    FIRSTS = st.one_of(st.integers(min_value=0, max_value=40),
+                       st.sampled_from([2**32 - 1, 2**40]),
                        st.integers(min_value=0, max_value=2**40))
 
+    @staticmethod
+    def stream_words(seed, trial, first, blocks):
+        """Blocks first + 1 to first + blocks of trial_stream(seed, trial)."""
+        bit_generator = trial_stream(seed, trial).bit_generator
+        bit_generator.advance(first)
+        return bit_generator.random_raw(4 * blocks)
+
+    @pytest.mark.parametrize("first", [0, 1, 5])
+    def test_advance_skips_whole_blocks(self, first):
+        raw = trial_stream(3, 2**64 - 1).bit_generator.random_raw(4 * (first + 4))
+        assert np.array_equal(self.stream_words(3, 2**64 - 1, first, 4), raw[4 * first:])
+
     @settings(max_examples=150, deadline=None)
-    @given(seed=SEEDS, trial=TRIALS, first=st.integers(min_value=0, max_value=40),
-           blocks=st.integers(min_value=1, max_value=12))
+    @given(seed=SEEDS, trial=TRIALS, first=FIRSTS, blocks=st.integers(min_value=1, max_value=12))
     @example(seed=0, trial=0, first=0, blocks=1)
     @example(seed=2**64 - 1, trial=2**40, first=3, blocks=5)
     @example(seed=-(2**63), trial=2**32, first=0, blocks=2)
+    @example(seed=2**64 - 1, trial=2**64 - 1, first=2**40, blocks=3)
+    @example(seed=-1, trial=2**64 - 2, first=2**32 - 1, blocks=2)
     def test_kernel_words_equal_random_raw(self, seed, trial, first, blocks):
-        raw = trial_stream(seed, trial).bit_generator.random_raw(4 * (first + blocks))
         words = trial_words(seed, np.array([trial], np.uint64), np.array([first], np.uint64), blocks)
         assert words.shape == (1, 4 * blocks)
-        assert np.array_equal(words[0], raw[4 * first:])
+        assert np.array_equal(words[0], self.stream_words(seed, trial, first, blocks))
 
     def test_kernel_rows_are_independent_trials(self):
         trials = np.array([5, 0, 2**40, 5], np.uint64)
@@ -109,6 +126,19 @@ class TestStreams:
         for row, (t, b) in enumerate(zip(trials.tolist(), starts.tolist())):
             raw = trial_stream(-7, t).bit_generator.random_raw(4 * (b + 3))
             assert np.array_equal(words[row], raw[4 * b:])
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS,
+           rows=st.lists(st.tuples(TRIALS, FIRSTS), min_size=2, max_size=6,
+                         unique_by=(lambda row: row[0], lambda row: row[1])),
+           blocks=st.integers(min_value=1, max_value=300))
+    @example(seed=2**64 - 1, rows=[(2**64 - 1, 2**40), (0, 0), (2**64 - 2, 7)], blocks=300)
+    def test_kernel_rows_equal_random_raw(self, seed, rows, blocks):
+        trials, firsts = (np.array(column, np.uint64) for column in zip(*rows))
+        words = trial_words(seed, trials, firsts, blocks)
+        assert words.shape == (len(rows), 4 * blocks)
+        for row, (trial, first) in enumerate(rows):
+            assert np.array_equal(words[row], self.stream_words(seed, trial, first, blocks))
 
     # m = 3 * 2**30 rejects about a quarter of the halves
     @pytest.mark.parametrize("m", [1, 2, 3, 200, 2**20 - 1, 2**20, 3 * 2**30])
@@ -173,6 +203,11 @@ class TestBatchEngine:
              sampler_kind="ideal", n_trials=20, seed=-1, block=16)
     @example(n=256, m=13, scattered=True, delta=1 - 2**-53, budgeted=True,
              sampler_kind=SUBSPACE, n_trials=150, seed=2**64, block=64)
+    # passes of 64 trials at the real BLOCK, each trial in 2-4 of them
+    @example(n=256, m=200, scattered=False, delta=1e-3, budgeted=True,
+             sampler_kind="ideal", n_trials=150, seed=2**64 - 1, block=None)
+    @example(n=256, m=200, scattered=True, delta=0.05, budgeted=False,
+             sampler_kind="ideal", n_trials=150, seed=-5, block=None)
     def test_run_trials_equals_execute_trial(self, n, m, scattered, delta, budgeted,
                                              sampler_kind, n_trials, seed, block):
         if m == "N":  # every state marked: runs of zero iterations
@@ -191,6 +226,13 @@ class TestBatchEngine:
             if block is not None:
                 patch.setattr(montecarlo, "BLOCK", block)
             assert run_trials(prob, strategy, sampler, n_trials, seed) == expected
+
+    def test_kernel_leaves_its_inputs(self):
+        # it works in place, and run_trials reuses both arrays across passes
+        trials = np.array([3, 2**64 - 1, 0], np.uint64)
+        first = np.array([0, 7, 2**40], np.uint64)
+        trial_words(11, trials, first, 5)
+        assert trials.tolist() == [3, 2**64 - 1, 0] and first.tolist() == [0, 7, 2**40]
 
     @pytest.mark.parametrize("rep", [FULL, SUBSPACE])
     @pytest.mark.parametrize("marked", [range(40, 45), (63, 2, 17, 40)], ids=["range", "tuple"])
@@ -333,14 +375,20 @@ class TestRunTrials:
         assert abs(stats.mean_runs - expected) <= 4 * math.sqrt(var / 10000)
 
     def test_memory_does_not_grow_with_trials(self):
-        # outcomes are folded as they come: 4000 trials peak within a few KiB
-        # of 200 (kept, each outcome would add a few hundred bytes)
+        # outcomes are folded as they come: 16 passes' worth of trials peak
+        # within a few KiB of 2 (kept, each outcome would add a few hundred
+        # bytes). Both counts fill whole passes, so that neither peak is a
+        # partial pass's.
         prob = problem(1024, 50, delta=0.5)
         params = derive_search_params(prob)
         sampler, strategy = IdealSampler(prob, params), Budgeted(build_plan(prob, params))
-        run_trials(prob, strategy, sampler, 50, 1)  # first-call allocations
+        rows = []  # each pass's trials; no pass holds more than BLOCK // 8
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "trial_words", lambda seed, trials, *rest:
+                          rows.append(trials.size) or trial_words(seed, trials, *rest))
+            run_trials(prob, strategy, sampler, montecarlo.BLOCK // 8, 1)  # first-call allocations
         peaks = []
-        for n_trials in (200, 4000):
+        for n_trials in (2 * rows[0], 16 * rows[0]):
             tracemalloc.start()
             try:
                 run_trials(prob, strategy, sampler, n_trials, 5)
