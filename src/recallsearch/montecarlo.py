@@ -23,6 +23,13 @@ expected to use: the least power of two >= 0.4 m H_m. A trial then takes 2-3
 passes on average and leaves under 30% of its draws unread (44% at m = 200
 for the span that ends 9 trials in 10 in one pass); smaller spans add passes,
 and a pass costs a fixed number of numpy calls.
+
+A pass holds at most PASS = 2^16 draws, PASS // span trials. It is sized
+apart from the k-sum's analytics.BLOCK, which fits a term table to the cache:
+here the fixed cost of a pass (the kernel alone makes some 280 numpy calls,
+whatever its rows) is what to spread, so at m = 200 a 100-trial batch starts
+in one pass instead of two and ends in 4-5 passes instead of 7. A larger PASS
+adds nothing there and holds more memory (a full pass peaks at about 1.8 MB).
 """
 
 from __future__ import annotations
@@ -33,9 +40,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .analytics import BLOCK
 from .driver import TrialOutcome, _plan_budgets
 from .search import ProblemInstance
+
+PASS = 2**16  # draws in a full run_trials pass
 
 
 @dataclass(frozen=True)
@@ -127,7 +135,7 @@ def run_trials(
     """Execute n_trials independent trials and aggregate them; equal, trial for
     trial, to execute_trial on trial_stream(master_seed, t) for each t.
 
-    Live trials run in passes of at most BLOCK draws. A pass gives each live
+    Live trials run in passes of at most PASS draws. A pass gives each live
     trial the same span of whole stream blocks, the least power of two >= 0.4
     m H_m draws, so that a trial reads most words made for it and ends in 2-3
     passes (see the module docstring). It maps them to draws with the
@@ -146,18 +154,18 @@ def run_trials(
         budgets = np.array(budgets, dtype=np.int64)
     m, cost = problem.n_marked, sampler.queries_per_draw
 
-    # a power of two, so a full pass holds BLOCK draws; m H_m ~ m (ln m + 0.5772)
+    # a power of two, so a full pass holds PASS draws; m H_m ~ m (ln m + 0.5772)
     span = 4 * sampler.draws_per_word
-    while span < BLOCK and span < 0.4 * m * (math.log(m) + 0.5772):
+    while span < PASS and span < 0.4 * m * (math.log(m) + 0.5772):
         span *= 2
-    most, blocks = BLOCK // span, span // (4 * sampler.draws_per_word)
+    most, blocks = PASS // span, span // (4 * sampler.draws_per_word)
     # The live trials: index, blocks read, draws made, states found, the draw
     # that found the latest, and which positions they have seen.
     trial = np.zeros(0, np.uint64)
     block = np.zeros(0, np.uint64)
     runs = found = last = np.zeros(0, np.int64)
     seen = np.zeros((0, m), bool)
-    first = np.full(most * m + 1, BLOCK, np.int32)  # a pass's first entry of each key
+    first = np.full(most * m + 1, PASS, np.int32)  # a pass's first entry of each key
     started = runs_total = 0
     fail_at = np.zeros(m + 1, np.int64)
     while started < n_trials or trial.size:
@@ -170,54 +178,62 @@ def run_trials(
             runs, found, last = (np.concatenate((a, zeros)) for a in (runs, found, last))
             seen = np.concatenate((seen, np.zeros((fresh, m), bool)))
             started += fresh
-        rows = trial.size
-        row, at, drawn, seen = _new_states(
-            sampler.draw_block(trial_words(master_seed, trial, block, blocks)), seen, first)
-        count = np.bincount(row, minlength=rows)
-        total = found + count
-        end = np.cumsum(count)
-        made = runs + drawn
-        newest = last.copy()  # the draw that found each trial's latest state
-        hit = np.flatnonzero(count)
-        newest[hit] = runs[hit] + at[end[hit] - 1]
-        done = total == m
-        spent = newest.copy()  # a finished trial's runs
-        failed = np.zeros(rows, np.int64)  # its failing step, 0 if it succeeded
-        if budgets is not None:
-            start = end - count
-            prev = np.empty_like(at)  # the draw that found the state before, in the pass
-            prev[1:] = at[:-1]
-            prev[start[hit]] = last[hit] - runs[hit]
-            step = found[row] + np.arange(at.size) - start[row] + 1
-            over = np.flatnonzero(at - prev > budgets[step - 1])
-            # a trial fails at its first step whose gap is over budget
-            over = over[np.diff(row[over], prepend=-1) != 0]
-            broke = row[over]
-            failed[broke] = step[over]
-            spent[broke] = runs[broke] + prev[over] + budgets[step[over] - 1]
-            # with no gap over budget, the open step fails once its budget is spent
-            budget = budgets[np.minimum(total, m - 1)]
-            out = ~done & (failed == 0) & (made - newest >= budget)
-            failed[out] = total[out] + 1
-            spent[out] = newest[out] + budget[out]
-            done |= failed > 0
-
+        # the pass's words, draws and new states live only in this statement,
+        # so none of them is held through the next pass's kernel
+        runs, found, last, spent, failed = _settle(m, budgets, runs, found, last, *_new_states(
+            sampler.draw_block(trial_words(master_seed, trial, block, blocks)), seen, first))
+        done = (found == m) | (failed > 0)
         ended = np.flatnonzero(done)
         runs_total += int(spent[ended].sum())
         np.add.at(fail_at, failed[ended], 1)
         keep = ~done
         trial, block = trial[keep], block[keep] + np.uint64(blocks)
-        runs, found, last, seen = made[keep], total[keep], newest[keep], seen[keep]
+        runs, found, last, seen = runs[keep], found[keep], last[keep], seen[keep]
     return _trial_stats(m, fail_at, n_trials, runs_total, runs_total * cost, master_seed)
+
+
+def _settle(m: int, budgets, runs, found, last, row, at, drawn):
+    """What one pass's new states (as _new_states returns them) do to its
+    trials, given each trial's draws made, states found and the draw that found
+    the latest before the pass. Returns those three after the pass, and each
+    trial's runs and failing step (0 if none) should it end in the pass."""
+    count = np.bincount(row, minlength=runs.size)
+    total = found + count
+    end = np.cumsum(count)
+    made = runs + drawn
+    newest = last.copy()  # the draw that found each trial's latest state
+    hit = np.flatnonzero(count)
+    newest[hit] = runs[hit] + at[end[hit] - 1]
+    spent = newest.copy()  # a finished trial's runs
+    failed = np.zeros(runs.size, np.int64)  # its failing step, 0 if it succeeded
+    if budgets is not None:
+        start = end - count
+        prev = np.empty_like(at)  # the draw that found the state before, in the pass
+        prev[1:] = at[:-1]
+        prev[start[hit]] = last[hit] - runs[hit]
+        step = found[row] + np.arange(at.size) - start[row] + 1
+        over = np.flatnonzero(at - prev > budgets[step - 1])
+        # a trial fails at its first step whose gap is over budget
+        over = over[np.diff(row[over], prepend=-1) != 0]
+        broke = row[over]
+        failed[broke] = step[over]
+        spent[broke] = runs[broke] + prev[over] + budgets[step[over] - 1]
+        # with no gap over budget, the open step fails once its budget is spent
+        budget = budgets[np.minimum(total, m - 1)]
+        out = (total < m) & (failed == 0) & (made - newest >= budget)
+        failed[out] = total[out] + 1
+        spent[out] = newest[out] + budget[out]
+    return made, total, newest, spent, failed
 
 
 def _new_states(keys: np.ndarray, seen: np.ndarray, first: np.ndarray):
     """The draws of one pass that find a new state. keys is the sampler's
-    draw_block for the live trials, and is overwritten; seen says which
-    positions each trial has seen; first is scratch, at least rows * m + 1
-    sentinels BLOCK, left so. Returns the new states' rows and draw numbers
-    in the pass, row by row in draw order, each row's draws in the pass, and
-    the updated seen."""
+    draw_block for the live trials, a power of two of entries a row, and is
+    overwritten; seen says which positions each trial has seen, and is updated
+    in place; first is scratch, at least rows * m + 1 sentinels PASS, left so
+    (PASS is above every entry's number, as a pass holds at most PASS
+    entries). Returns the new states' rows and draw numbers in the pass, row
+    by row in draw order, and each row's draws in the pass."""
     rows, m = seen.shape
     width = keys.shape[1]
     skipped = keys < -1
@@ -232,14 +248,16 @@ def _new_states(keys: np.ndarray, seen: np.ndarray, first: np.ndarray):
     keys = keys.ravel()
     order = np.arange(keys.size, dtype=np.int32)
     np.minimum.at(first, keys, order)
-    known = np.append(seen.ravel(), True)
-    new = (first[keys] == order) & ~known[keys]
-    first[keys] = BLOCK  # clean for the next pass
-    known[keys[new]] = True
-    row, col = np.divmod(np.flatnonzero(new), width)
+    table = first[:dump + 1]
+    table[np.append(seen.ravel(), True)] = PASS  # a seen key finds nothing new
+    new = np.flatnonzero(first[keys] == order)
+    seen |= (table[:dump] < PASS).reshape(rows, m)
+    table.fill(PASS)
+    shift = width.bit_length() - 1
+    row, col = new >> shift, new & (width - 1)
     if drawn is None:
-        return row, col + 1, width, known[:dump].reshape(rows, m)
-    return row, drawn[row, col], drawn[:, -1], known[:dump].reshape(rows, m)
+        return row, col + 1, width
+    return row, drawn[row, col], drawn[:, -1]
 
 
 def _aggregate(

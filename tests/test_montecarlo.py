@@ -21,6 +21,7 @@ from recallsearch.driver import (
     execute_trial,
 )
 from recallsearch.montecarlo import (
+    PASS,
     TrialStats,
     _aggregate,
     chi_square_critical,
@@ -195,21 +196,24 @@ class TestBatchEngine:
         sampler_kind=st.sampled_from(["ideal", FULL, SUBSPACE]),
         n_trials=st.integers(min_value=1, max_value=150),
         seed=st.integers(min_value=-(2**70), max_value=2**70),
-        block=st.sampled_from([16, 64, 512, None]),
+        pass_size=st.sampled_from([16, 64, 512, PASS, 2 * PASS]),
     )
     @example(n=64, m="N", scattered=False, delta=0.3, budgeted=True,
-             sampler_kind=FULL, n_trials=3, seed=1, block=None)
+             sampler_kind=FULL, n_trials=3, seed=1, pass_size=PASS)
     @example(n=16, m=1, scattered=True, delta=0.01, budgeted=False,
-             sampler_kind="ideal", n_trials=20, seed=-1, block=16)
+             sampler_kind="ideal", n_trials=20, seed=-1, pass_size=16)
     @example(n=256, m=13, scattered=True, delta=1 - 2**-53, budgeted=True,
-             sampler_kind=SUBSPACE, n_trials=150, seed=2**64, block=64)
-    # passes of 64 trials at the real BLOCK, each trial in 2-4 of them
+             sampler_kind=SUBSPACE, n_trials=150, seed=2**64, pass_size=64)
+    # passes of 128 trials at the real PASS, each trial in 2-4 of them
     @example(n=256, m=200, scattered=False, delta=1e-3, budgeted=True,
-             sampler_kind="ideal", n_trials=150, seed=2**64 - 1, block=None)
+             sampler_kind="ideal", n_trials=150, seed=2**64 - 1, pass_size=PASS)
     @example(n=256, m=200, scattered=True, delta=0.05, budgeted=False,
-             sampler_kind="ideal", n_trials=150, seed=-5, block=None)
+             sampler_kind="ideal", n_trials=150, seed=-5, pass_size=PASS)
+    # the benchmark's simulate shape: every trial starts in the first pass
+    @example(n=256, m=200, scattered=False, delta=0.05, budgeted=True,
+             sampler_kind="ideal", n_trials=100, seed=12345, pass_size=PASS)
     def test_run_trials_equals_execute_trial(self, n, m, scattered, delta, budgeted,
-                                             sampler_kind, n_trials, seed, block):
+                                             sampler_kind, n_trials, seed, pass_size):
         if m == "N":  # every state marked: runs of zero iterations
             n = m = 16
         marked = tuple(range(n - 1, -1, -(n // m)))[:m] if scattered else range(n - m, n)
@@ -222,10 +226,54 @@ class TestBatchEngine:
         strategy = Budgeted(build_plan(prob, params)) if budgeted else Unbounded()
         expected = oracle(prob, strategy, sampler, n_trials, seed)
         with pytest.MonkeyPatch.context() as patch:
-            # a small BLOCK makes passes of few trials, and trials of many passes
-            if block is not None:
-                patch.setattr(montecarlo, "BLOCK", block)
+            # a small PASS makes passes of few trials, and trials of many passes
+            patch.setattr(montecarlo, "PASS", pass_size)
             assert run_trials(prob, strategy, sampler, n_trials, seed) == expected
+
+    @staticmethod
+    def new_states_oracle(keys, seen):
+        """_new_states' definition, entry by entry: -2 is no draw, -1 an
+        unmarked one, and a position is new the first time its row draws it."""
+        rows, at, drawn = [], [], []
+        for r, (row_keys, row_seen) in enumerate(zip(keys, seen)):
+            draws = 0
+            for key in row_keys:
+                if key == -2:
+                    continue
+                draws += 1
+                if key >= 0 and not row_seen[key]:
+                    row_seen[key] = True
+                    rows.append(r)
+                    at.append(draws)
+            drawn.append(draws)
+        return rows, at, drawn, seen
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), rows=st.integers(min_value=1, max_value=6),
+           m=st.integers(min_value=1, max_value=40), log_width=st.integers(min_value=0, max_value=7))
+    # a table shorter than the draws, and one longer; neither has a -2
+    @example(data=None, rows=3, m=5, log_width=4)
+    @example(data=None, rows=2, m=40, log_width=3)
+    def test_new_states_equal_first_occurrences(self, data, rows, m, log_width):
+        width = 2**log_width
+        if data is None:  # the examples: every row draws 0, 1, ..., -1, 0, 1, ...
+            keys = [[c % (m + 1) - 1 for c in range(width)] for _ in range(rows)]
+            seen = [[p % 3 == 0 for p in range(m)] for _ in range(rows)]
+        else:
+            keys = data.draw(st.lists(st.lists(st.integers(min_value=-2, max_value=m - 1),
+                                               min_size=width, max_size=width),
+                                      min_size=rows, max_size=rows))
+            seen = data.draw(st.lists(st.lists(st.booleans(), min_size=m, max_size=m),
+                                      min_size=rows, max_size=rows))
+        want_rows, want_at, want_drawn, want_seen = self.new_states_oracle(
+            keys, [list(row) for row in seen])
+        first = np.full(rows * m + 5, PASS, np.int32)  # the scratch may be longer
+        got_seen = np.array(seen, bool).reshape(rows, m)
+        row, at, drawn = montecarlo._new_states(np.array(keys, np.int64), got_seen, first)
+        assert row.tolist() == want_rows and at.tolist() == want_at
+        assert np.broadcast_to(drawn, rows).tolist() == want_drawn
+        assert got_seen.tolist() == want_seen
+        assert (first == PASS).all()
 
     def test_kernel_leaves_its_inputs(self):
         # it works in place, and run_trials reuses both arrays across passes
@@ -374,28 +422,42 @@ class TestRunTrials:
         var = sum((1 - p) / p**2 for p in (5 / 5, 4 / 5, 3 / 5, 2 / 5, 1 / 5))
         assert abs(stats.mean_runs - expected) <= 4 * math.sqrt(var / 10000)
 
+    @staticmethod
+    def pass_peaks(*passes):
+        """Peak traced memory of budgeted m = 50 runs of whole passes' worth of
+        trials, one run for each count of passes."""
+        prob = problem(1024, 50, delta=0.5)
+        params = derive_search_params(prob)
+        sampler, strategy = IdealSampler(prob, params), Budgeted(build_plan(prob, params))
+        rows = []  # each pass's trials; no pass holds more than PASS // 8
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "trial_words", lambda seed, trials, *rest:
+                          rows.append(trials.size) or trial_words(seed, trials, *rest))
+            run_trials(prob, strategy, sampler, PASS // 8, 1)  # first-call allocations
+        peaks = []
+        for count in passes:
+            tracemalloc.start()
+            try:
+                run_trials(prob, strategy, sampler, count * rows[0], 5)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return peaks
+
     def test_memory_does_not_grow_with_trials(self):
         # outcomes are folded as they come: 16 passes' worth of trials peak
         # within a few KiB of 2 (kept, each outcome would add a few hundred
         # bytes). Both counts fill whole passes, so that neither peak is a
         # partial pass's.
-        prob = problem(1024, 50, delta=0.5)
-        params = derive_search_params(prob)
-        sampler, strategy = IdealSampler(prob, params), Budgeted(build_plan(prob, params))
-        rows = []  # each pass's trials; no pass holds more than BLOCK // 8
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(montecarlo, "trial_words", lambda seed, trials, *rest:
-                          rows.append(trials.size) or trial_words(seed, trials, *rest))
-            run_trials(prob, strategy, sampler, montecarlo.BLOCK // 8, 1)  # first-call allocations
-        peaks = []
-        for n_trials in (2 * rows[0], 16 * rows[0]):
-            tracemalloc.start()
-            try:
-                run_trials(prob, strategy, sampler, n_trials, 5)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        peaks = self.pass_peaks(2, 16)
         assert peaks[1] < peaks[0] + 8 * 2**10
+
+    def test_passes_release_their_arrays(self):
+        # a pass's per-state arrays (8 bytes a new state, some hundreds of KB
+        # at m = 50) are gone before the next pass's kernel, so refilled
+        # passes peak as high as the first pass of a run that never refills
+        one, many = self.pass_peaks(1, 16)
+        assert abs(many - one) < 32 * 2**10
 
     def test_rejects_empty_batch(self):
         prob = problem(16, 1)
